@@ -9,7 +9,8 @@ __version__ = "0.1.0"
 from .distance import (DistanceResult, OptimizerOptions, df_upper_bound,
                        interaction_distance, trace_distance_sorted)
 from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis,
-                   build_density_density, build_quadratic, hopping_element)
+                   build_density_density, build_quadratic, density_density_diagonal,
+                   hopping_element)
 from .free_fermion import (FreeSpectrumParams, diagonalize_kernel,
                            free_many_body_spectrum, free_partition_function,
                            free_probabilities)
@@ -26,7 +27,8 @@ __all__ = [
     "DistanceResult", "OptimizerOptions", "df_upper_bound",
     "interaction_distance", "trace_distance_sorted",
     "ManyBodyOperator", "OccupationBasis", "Sector", "build_basis",
-    "build_density_density", "build_quadratic", "hopping_element",
+    "build_density_density", "build_quadratic", "density_density_diagonal",
+    "hopping_element",
     "FreeSpectrumParams", "diagonalize_kernel", "free_many_body_spectrum",
     "free_partition_function", "free_probabilities",
     "ChainParams", "DimerParams", "dimer_sector_basis", "hubbard_dimer",

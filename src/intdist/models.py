@@ -11,10 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis,
-                   build_density_density, build_quadratic)
+from .fock import (HERMITICITY_TOL, ManyBodyOperator, OccupationBasis, Sector, build_basis,
+                   build_density_density, build_quadratic, density_density_diagonal)
 
-MAX_CHAIN_SITES = 14
+#: Longest chain the CLI and ChainParams accept.  The full-Fock-space
+#: Hamiltonian and the eigenvector matrix are each dense (2**n)^2 float64
+#: arrays: an n=13 entanglement sweep peaks at about 1.3 GB resident, and
+#: n=14 would need about 4.8 GB.
+MAX_CHAIN_SITES = 13
 
 #: Modes of site 1 (up, down); the complement is site 2.  Mode layout:
 #: 0 = site-1 up, 1 = site-1 down, 2 = site-2 up, 3 = site-2 down.
@@ -69,17 +73,15 @@ def hubbard_dimer(params: DimerParams = DimerParams()):
     entries (v, 0, 0, v) and is returned separately for perturbation theory.
     """
     basis = dimer_sector_basis()
-    h0 = build_quadratic(basis, dimer_kernel(params))
     v_op = build_density_density(basis, dimer_interaction_matrix(params.v))
-    return ManyBodyOperator(basis, h0.matrix + v_op.matrix), v_op
+    return build_quadratic(basis, dimer_kernel(params), diagonal=v_op.matrix.diagonal()), v_op
 
 
 def hubbard_dimer_full(params: DimerParams = DimerParams()) -> ManyBodyOperator:
     """Dimer Hamiltonian over the unrestricted 16-dimensional Fock space."""
     basis = build_basis(4)
-    h0 = build_quadratic(basis, dimer_kernel(params))
-    v_op = build_density_density(basis, dimer_interaction_matrix(params.v))
-    return ManyBodyOperator(basis, h0.matrix + v_op.matrix)
+    v_diag = density_density_diagonal(basis, dimer_interaction_matrix(params.v))
+    return build_quadratic(basis, dimer_kernel(params), diagonal=v_diag)
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class ChainParams:
         m = np.asarray(value, dtype=float)
         if m.shape != (n, n):
             raise ValueError(f"{name} matrix shape {m.shape} does not match n_sites={n}")
-        if np.abs(m - m.T).max(initial=0.0) > 1e-12:
+        if np.abs(m - m.T).max(initial=0.0) > HERMITICITY_TOL:
             raise ValueError(f"{name} matrix must be symmetric")
         return m
 
@@ -136,6 +138,5 @@ class ChainParams:
 def spinless_chain(params: ChainParams) -> ManyBodyOperator:
     """Full Fock-space Hamiltonian of an open spinless chain."""
     basis = build_basis(params.n_sites)
-    h = build_quadratic(basis, params.kernel())
-    v = build_density_density(basis, params.interaction_matrix())
-    return ManyBodyOperator(basis, h.matrix + v.matrix)
+    v_diag = density_density_diagonal(basis, params.interaction_matrix())
+    return build_quadratic(basis, params.kernel(), diagonal=v_diag)

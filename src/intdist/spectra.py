@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import ManyBodyOperator, OccupationBasis
+from .fock import ManyBodyOperator, OccupationBasis, popcount
 
 MAX_DIM = 1 << 14
 CLAMP_TOL = 1e-14
@@ -70,13 +70,33 @@ class ProbabilitySpectrum:
 
 
 def exact_diagonalize(op: ManyBodyOperator, keep_vectors: bool = True) -> EigenSystem:
-    """Dense symmetric eigendecomposition of a many-body operator."""
+    """Dense symmetric eigendecomposition, one particle-number block at a time.
+
+    Each block of ``op.blocks`` goes through LAPACK ``eigh`` (``eigvalsh``
+    without vectors).  The energies are the union of the block spectra,
+    ascending; a stable sort keeps ties in block order (ascending particle
+    number), so within an exactly degenerate level the eigenvectors are
+    particle-number eigenstates, not LAPACK's arbitrary mixture of them.
+    Vectors are a full-basis matrix, column k over ``op.basis``, each column
+    nonzero only inside its block.  An operator that mixes particle numbers
+    is a single block: one eigendecomposition of the whole matrix.
+    """
     if op.dim > MAX_DIM:
         raise ValueError(f"operator dimension {op.dim} exceeds cap {MAX_DIM}")
-    if keep_vectors:
-        energies, vectors = np.linalg.eigh(op.matrix)
-        return EigenSystem(energies, vectors)
-    return EigenSystem(np.linalg.eigvalsh(op.matrix))
+    subs = [op.matrix[np.ix_(idx, idx)] for idx in op.blocks]
+    if not keep_vectors:
+        return EigenSystem(np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in subs])))
+    pairs = [np.linalg.eigh(m) for m in subs]
+    energies = np.concatenate([e for e, _ in pairs])
+    order = np.argsort(energies, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    vectors = np.zeros((op.dim, op.dim))
+    start = 0
+    for idx, (e, v) in zip(op.blocks, pairs):
+        vectors[np.ix_(idx, column[start:start + e.size])] = v
+        start += e.size
+    return EigenSystem(energies[order], vectors)
 
 
 def boltzmann_weights(energies, beta: float) -> np.ndarray:
@@ -112,28 +132,13 @@ def _bipartition_tables(basis: OccupationBasis, region_a) -> tuple[np.ndarray, n
     if not a_modes or len(a_modes) == n:
         raise ValueError("region_a must be a proper nonempty subset of the modes")
     b_modes = [m for m in range(n) if m not in a_modes]
-    a_pos = {m: k for k, m in enumerate(a_modes)}
-    b_pos = {m: k for k, m in enumerate(b_modes)}
-    rows = np.empty(basis.dim, dtype=np.int64)
-    cols = np.empty(basis.dim, dtype=np.int64)
-    signs = np.empty(basis.dim)
-    a_set = set(a_modes)
-    for idx, s in enumerate(basis.states):
-        a = b = 0
-        inversions = 0
-        seen_a = 0
-        for m in range(n - 1, -1, -1):
-            if not (s >> m) & 1:
-                continue
-            if m in a_set:
-                a |= 1 << a_pos[m]
-                seen_a += 1
-            else:
-                b |= 1 << b_pos[m]
-                inversions += seen_a
-        rows[idx] = a
-        cols[idx] = b
-        signs[idx] = -1.0 if inversions & 1 else 1.0
+    s = basis.state_array
+    a_mask = sum(1 << m for m in a_modes)
+    rows = sum(((s >> m) & 1) << k for k, m in enumerate(a_modes))
+    cols = sum(((s >> m) & 1) << k for k, m in enumerate(b_modes))
+    # occupied A modes above each occupied B mode
+    inversions = sum(((s >> m) & 1) * popcount(s & (a_mask & ~((2 << m) - 1))) for m in b_modes)
+    signs = 1.0 - 2.0 * (inversions & 1)
     return rows, cols, signs
 
 

@@ -176,6 +176,13 @@ def test_config_rejects_chain_without_sites(capsys):
     assert "n_sites" in err
 
 
+def test_config_rejects_chain_beyond_site_cap(capsys):
+    # 14 sites would need two dense 2^14 x 2^14 matrices (about 4.8 GB peak)
+    code, _, err = _run(capsys, ["sweep", "--model", "chain", "--n-sites", "14"])
+    assert code == 2
+    assert "n_sites" in err and "13" in err
+
+
 def test_unwritable_output_path(capsys):
     code, _, err = _run(capsys, ["sweep", "--v-min", "0", "--v-max", "0", "--v-steps", "1",
                                  "--restarts", "4", "--out", "/nonexistent-dir/x.csv"])

@@ -242,5 +242,7 @@ def test_basis_rejects_duplicates_and_out_of_range():
         OccupationBasis(2, (1, 1))
     with pytest.raises(ValueError, match="out of range"):
         OccupationBasis(2, (0, 4))
+    with pytest.raises(ValueError, match="n_modes"):
+        OccupationBasis(21, (0,))
     with pytest.raises(ValueError, match="sector"):
         OccupationBasis(2, (0, 1), Sector(n_particles=1))

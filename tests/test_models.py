@@ -118,6 +118,8 @@ def test_chain_parameter_validation():
     with pytest.raises(ValueError, match="n_sites"):
         ChainParams(n_sites=0)
     with pytest.raises(ValueError, match="n_sites"):
+        ChainParams(n_sites=14)
+    with pytest.raises(ValueError, match="n_sites"):
         ChainParams(n_sites=15)
     with pytest.raises(ValueError, match="symmetric"):
         ChainParams(n_sites=2, hopping=[[0.0, 1.0], [0.5, 0.0]]).hopping_matrix()
