@@ -4,8 +4,8 @@ comparisons, emitted as CSV or JSON lines.
 Configuration is a single JSON document (``--config``) with flag overrides;
 precedence is flags > file > defaults.  The effective configuration is echoed
 into the output header so every emitted table is self-describing, and results
-are byte-identical across runs for a fixed seed.  ``INTDIST_THREADS`` caps the
-worker pool; rows are always written in grid-major order.
+are byte-identical across runs for a fixed seed.  Grid points run one after
+another in grid-major order (coupling outer, temperature inner).
 """
 
 import argparse
@@ -13,17 +13,17 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
 from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
-                     dimer_sector_basis, hubbard_dimer, spinless_chain)
+                     hubbard_dimer, spinless_chain)
 from .perturbation import (dimer_perturbative_dent, infer_free_labeling,
                            perturbative_dth, perturbative_free_decomposition)
 from .spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
@@ -31,18 +31,6 @@ from .spectra import exact_diagonalize, reduced_density_spectrum, thermal_probab
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_DEFAULT_CONFIG = {
-    "model": {"type": "dimer", "t": 1.0, "delta1": 1.0, "delta2": -1.0},
-    "quantity": "thermal",
-    "coupling_grid": {"min": 0.0, "max": 6.0, "steps": 61},
-    "beta": 1.0,
-    "optimizer": {"seed": 1234, "restarts": 16, "max_iter": 5000},
-    "output": {"path": None, "format": "csv"},
-}
-
-_KNOWN_TOP = {"model", "quantity", "coupling_grid", "beta", "temperature_grid",
-              "optimizer", "output"}
 
 
 class ConfigError(ValueError):
@@ -52,6 +40,92 @@ class ConfigError(ValueError):
 def _require(condition: bool, message: str):
     if not condition:
         raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+# ------------------------------------------------------------------- models
+
+def _check_dimer(params: dict):
+    for key, value in params.items():
+        _require(_is_number(value), f"model.{key} must be a number")
+
+
+def _check_chain(params: dict):
+    n_sites = params["n_sites"]
+    _require(_is_int(n_sites) and 1 <= n_sites <= MAX_CHAIN_SITES,
+             f"model.n_sites must be an integer in [1, {MAX_CHAIN_SITES}]")
+    chain = ChainParams(**params)
+    for key, build in (("hopping", chain.hopping_matrix), ("potential", chain.potential_vector)):
+        try:
+            finite = not isinstance(params[key], bool) and bool(np.isfinite(build()).all())
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"model.{key} is invalid: {exc}") from exc
+        _require(finite, f"model.{key} must be a finite number or array")
+
+
+@dataclass(frozen=True)
+class _Model:
+    """What the CLI needs to know about one ``model.type``.
+
+    The callables take the model's parameters: its config section without ``type``.
+    """
+
+    fields: dict                # config fields with their defaults (None: required)
+    check: Callable             # params -> None; raises ConfigError
+    hamiltonian: Callable       # (params, v) -> ManyBodyOperator at coupling v
+    unit_interaction: Callable  # params -> interaction operator at v = 1
+    thermal_modes: Callable     # params -> free modes fitted to a thermal spectrum
+    region: Callable            # params -> modes on one side of the entanglement cut
+
+
+# The builders look the model functions up at call time, so wrappers installed
+# on this module's names (as the perfbench tracer does) see every call.
+_MODELS = {
+    "dimer": _Model(
+        fields={"t": 1.0, "delta1": 1.0, "delta2": -1.0},
+        check=_check_dimer,
+        hamiltonian=lambda params, v: hubbard_dimer(DimerParams(**params, v=v))[0],
+        unit_interaction=lambda params: hubbard_dimer(DimerParams(**params, v=1.0))[1],
+        thermal_modes=lambda params: 2,
+        region=lambda params: DIMER_SITE1_MODES,
+    ),
+    "chain": _Model(
+        fields={"n_sites": None, "hopping": 1.0, "potential": 0.0},
+        check=_check_chain,
+        hamiltonian=lambda params, v: spinless_chain(ChainParams(**params, interaction=v)),
+        unit_interaction=lambda params: spinless_chain(ChainParams(
+            params["n_sites"], hopping=0.0, potential=0.0, interaction=1.0)),
+        thermal_modes=lambda params: params["n_sites"],
+        region=lambda params: tuple(range(max(1, params["n_sites"] // 2))),
+    ),
+}
+
+
+def _configured_model(cfg: dict):
+    """The table entry of the configured model, and the model's parameters."""
+    params = dict(cfg["model"])
+    return _MODELS[params.pop("type")], params
+
+
+# ------------------------------------------------------------------- config
+
+_DEFAULT_CONFIG = {
+    "model": {"type": "dimer", **_MODELS["dimer"].fields},
+    "quantity": "thermal",
+    "coupling_grid": {"min": 0.0, "max": 6.0, "steps": 61},
+    "beta": 1.0,
+    "optimizer": {"seed": 1234, "restarts": 16, "max_iter": 5000},
+    "output": {"path": None, "format": "csv"},
+}
+
+_KNOWN_TOP = set(_DEFAULT_CONFIG) | {"temperature_grid"}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -64,12 +138,16 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _model_type(cfg: dict):
+    model = cfg.get("model")
+    return model.get("type") if isinstance(model, dict) else None
+
+
 def _merge_config(base: dict, override: dict) -> dict:
     # changing model.type replaces the model section; merging would leave
     # stale fields of the other model behind
-    old_type = base.get("model", {}).get("type")
-    new_type = override.get("model", {}).get("type")
-    if new_type is not None and new_type != old_type:
+    new_type = _model_type(override)
+    if new_type is not None and new_type != _model_type(base):
         base = dict(base)
         base["model"] = {}
     return _merge(base, override)
@@ -79,10 +157,14 @@ def _grid_values(spec, name: str) -> np.ndarray:
     _require(isinstance(spec, dict), f"{name} must be an object with min/max/steps")
     unknown = set(spec) - {"min", "max", "steps"}
     _require(not unknown, f"{name} has unknown fields {sorted(unknown)}")
+    malformed = f"{name} requires numeric min/max and integer steps"
+    _require(not any(isinstance(value, bool) for value in spec.values()), malformed)
     try:
         lo, hi, steps = float(spec["min"]), float(spec["max"]), int(spec["steps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} requires numeric min/max and integer steps") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(malformed) from exc
+    _require(math.isfinite(lo), f"{name}.min must be finite")
+    _require(math.isfinite(hi), f"{name}.max must be finite")
     _require(steps >= 1, f"{name}.steps must be >= 1")
     _require(lo <= hi, f"{name}.min must not exceed {name}.max")
     if steps == 1:
@@ -98,21 +180,13 @@ def validate_config(raw: dict) -> dict:
 
     model = cfg.get("model", {})
     _require(isinstance(model, dict), "model must be an object")
-    mtype = model.get("type")
-    _require(mtype in ("dimer", "chain"), "model.type must be 'dimer' or 'chain'")
-    if mtype == "dimer":
-        unknown = set(model) - {"type", "t", "delta1", "delta2"}
-        _require(not unknown, f"model has unknown fields {sorted(unknown)}")
-        for key in ("t", "delta1", "delta2"):
-            model.setdefault(key, _DEFAULT_CONFIG["model"][key])
-            _require(isinstance(model[key], (int, float)), f"model.{key} must be a number")
-    else:
-        unknown = set(model) - {"type", "n_sites", "hopping", "potential"}
-        _require(not unknown, f"model has unknown fields {sorted(unknown)}")
-        _require(isinstance(model.get("n_sites"), int) and 1 <= model["n_sites"] <= MAX_CHAIN_SITES,
-                 f"model.n_sites must be an integer in [1, {MAX_CHAIN_SITES}]")
-        model.setdefault("hopping", 1.0)
-        model.setdefault("potential", 0.0)
+    _require(model.get("type") in tuple(_MODELS), "model.type must be 'dimer' or 'chain'")
+    spec = _MODELS[model["type"]]
+    unknown = set(model) - {"type", *spec.fields}
+    _require(not unknown, f"model has unknown fields {sorted(unknown)}")
+    for key, default in spec.fields.items():
+        model.setdefault(key, default)
+    spec.check({key: model[key] for key in spec.fields})
 
     quantity = cfg.get("quantity")
     _require(quantity in ("thermal", "entanglement"),
@@ -127,6 +201,9 @@ def validate_config(raw: dict) -> dict:
         beta = cfg.get("beta", 1.0)
         _require(beta == 1.0, "beta must be 1 (or omitted) for quantity=entanglement")
         cfg["beta"] = 1.0
+        # a one-site chain has no bipartition
+        _require(model.get("n_sites", 2) >= 2,
+                 "model.n_sites must be >= 2 for quantity=entanglement")
     elif has_tgrid:
         grid = _grid_values(cfg["temperature_grid"], "temperature_grid")
         _require(grid.min() > 0, "temperature_grid.min must be positive")
@@ -135,24 +212,26 @@ def validate_config(raw: dict) -> dict:
         cfg.pop("beta", None)
     else:
         beta = cfg.get("beta", _DEFAULT_CONFIG["beta"])
-        _require(isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0,
-                 "beta must be a positive finite number")
+        _require(_is_number(beta) and beta > 0, "beta must be a positive finite number")
         cfg["beta"] = float(beta)
 
     opt = cfg.get("optimizer", {})
     _require(isinstance(opt, dict), "optimizer must be an object")
-    unknown = set(opt) - {"seed", "restarts", "max_iter"}
-    _require(not unknown, f"optimizer has unknown fields {sorted(unknown)}")
     merged = _merge(_DEFAULT_CONFIG["optimizer"], opt)
-    for key in ("seed", "restarts", "max_iter"):
-        _require(isinstance(merged[key], int), f"optimizer.{key} must be an integer")
-    _require(merged["restarts"] >= 1, "optimizer.restarts must be >= 1")
-    _require(merged["max_iter"] >= 1, "optimizer.max_iter must be >= 1")
+    unknown = set(merged) - set(_DEFAULT_CONFIG["optimizer"])
+    _require(not unknown, f"optimizer has unknown fields {sorted(unknown)}")
+    for key, lowest in (("seed", 0), ("restarts", 1), ("max_iter", 1)):
+        _require(_is_int(merged[key]), f"optimizer.{key} must be an integer")
+        _require(merged[key] >= lowest, f"optimizer.{key} must be >= {lowest}")
     cfg["optimizer"] = merged
 
-    out = _merge(_DEFAULT_CONFIG["output"], cfg.get("output", {}))
+    out = cfg.get("output", {})
+    _require(isinstance(out, dict), "output must be an object")
+    out = _merge(_DEFAULT_CONFIG["output"], out)
     unknown = set(out) - {"path", "format"}
     _require(not unknown, f"output has unknown fields {sorted(unknown)}")
+    _require(out["path"] is None or isinstance(out["path"], str),
+             "output.path must be a string or null")
     _require(out["format"] in ("csv", "jsonl"), "output.format must be 'csv' or 'jsonl'")
     cfg["output"] = out
     cfg["model"] = model
@@ -173,43 +252,24 @@ def _grid_points(cfg: dict):
 
 def _spectrum_at(cfg: dict, v: float, beta: float):
     """Probability spectrum and free-mode count for one grid point."""
-    model = cfg["model"]
-    if model["type"] == "dimer":
-        params = DimerParams(t=model["t"], delta1=model["delta1"],
-                             delta2=model["delta2"], v=v)
-        hamiltonian, _ = hubbard_dimer(params)
-        if cfg["quantity"] == "thermal":
-            eig = exact_diagonalize(hamiltonian, keep_vectors=False)
-            return thermal_probabilities(eig.energies, beta), 2
-        eig = exact_diagonalize(hamiltonian)
-        ground = eig.vectors[:, 0]
-        rho = reduced_density_spectrum(ground, dimer_sector_basis(), DIMER_SITE1_MODES)
-        return rho, 2
-    params = ChainParams(n_sites=model["n_sites"], hopping=model["hopping"],
-                         potential=model["potential"], interaction=v)
-    hamiltonian = spinless_chain(params)
+    spec, params = _configured_model(cfg)
+    hamiltonian = spec.hamiltonian(params, v)
     if cfg["quantity"] == "thermal":
         eig = exact_diagonalize(hamiltonian, keep_vectors=False)
-        return thermal_probabilities(eig.energies, beta), model["n_sites"]
-    eig = exact_diagonalize(hamiltonian)
-    ground = eig.vectors[:, 0]
-    half = max(1, model["n_sites"] // 2)
-    region = tuple(range(half))
-    return reduced_density_spectrum(ground, hamiltonian.basis, region), half
+        return thermal_probabilities(eig.energies, beta), spec.thermal_modes(params)
+    ground = exact_diagonalize(hamiltonian).vectors[:, 0]
+    region = spec.region(params)
+    return reduced_density_spectrum(ground, hamiltonian.basis, region), len(region)
 
 
 def _sweep_point(cfg: dict, point) -> dict:
     v, beta, temperature = point
     start = time.perf_counter()
-    beta_fit = 1.0 if cfg["quantity"] == "entanglement" else beta
-    rho, n_modes = _spectrum_at(cfg, v, beta_fit)
-    opt = cfg["optimizer"]
-    res = interaction_distance(rho, n_modes, beta_fit,
-                               OptimizerOptions(seed=opt["seed"], restarts=opt["restarts"],
-                                                max_iter=opt["max_iter"]))
+    rho, n_modes = _spectrum_at(cfg, v, beta)  # validate_config fixes beta = 1 for entanglement
+    res = interaction_distance(rho, n_modes, beta, OptimizerOptions(**cfg["optimizer"]))
     return {
         "model": cfg["model"]["type"],
-        "params": {k: val for k, val in cfg["model"].items() if k != "type"},
+        "params": _configured_model(cfg)[1],
         "quantity": cfg["quantity"],
         "v": v,
         "beta": beta,
@@ -223,22 +283,10 @@ def _sweep_point(cfg: dict, point) -> dict:
 
 def _perturbative_context(cfg: dict):
     """Reference eigensystem, labeling, and unit interaction for compare runs."""
-    model = cfg["model"]
-    if model["type"] == "dimer":
-        params = DimerParams(t=model["t"], delta1=model["delta1"],
-                             delta2=model["delta2"], v=0.0)
-        h0, _ = hubbard_dimer(params)
-        unit_v = hubbard_dimer(DimerParams(t=model["t"], delta1=model["delta1"],
-                                           delta2=model["delta2"], v=1.0))[1]
-    else:
-        params = ChainParams(n_sites=model["n_sites"], hopping=model["hopping"],
-                             potential=model["potential"], interaction=0.0)
-        h0 = spinless_chain(params)
-        unit_v = spinless_chain(ChainParams(n_sites=model["n_sites"], hopping=0.0,
-                                            potential=0.0, interaction=1.0))
-    eig = exact_diagonalize(h0)
+    spec, params = _configured_model(cfg)
+    eig = exact_diagonalize(spec.hamiltonian(params, 0.0))
     _, pattern = infer_free_labeling(eig.energies)
-    return eig, pattern, unit_v
+    return eig, pattern, spec.unit_interaction(params)
 
 
 def _compare_point(cfg: dict, context, point) -> dict:
@@ -259,29 +307,9 @@ def _compare_point(cfg: dict, context, point) -> dict:
     return row
 
 
-# -------------------------------------------------------------------- output
-
-def _worker_count() -> int:
-    env = os.environ.get("INTDIST_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError("INTDIST_THREADS must be an integer") from exc
-        _require(cap >= 1, "INTDIST_THREADS must be >= 1")
-        return cap
-    return min(4, os.cpu_count() or 1)
-
-
-def _run_grid(cfg: dict, worker) -> list:
-    points = _grid_points(cfg)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return list(pool.map(worker, points))
-
-
 def run_sweep(cfg: dict) -> list:
     """One interaction-distance row per grid point, in grid-major order."""
-    return _run_grid(cfg, lambda point: _sweep_point(cfg, point))
+    return [_sweep_point(cfg, point) for point in _grid_points(cfg)]
 
 
 def run_compare(cfg: dict) -> list:
@@ -289,14 +317,25 @@ def run_compare(cfg: dict) -> list:
     if cfg["quantity"] == "entanglement" and cfg["model"]["type"] != "dimer":
         raise ConfigError("compare with quantity=entanglement supports model.type=dimer only")
     context = None if cfg["quantity"] == "entanglement" else _perturbative_context(cfg)
-    return _run_grid(cfg, lambda point: _compare_point(cfg, context, point))
+    return [_compare_point(cfg, context, point) for point in _grid_points(cfg)]
 
+
+def _worker_count() -> int:
+    """Grid points run serially; ``perfbench/run.py`` records this as ``pool_workers``."""
+    return 1
+
+
+# -------------------------------------------------------------------- output
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, list):
+        return ";".join(_fmt(e) for e in value)
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
     return str(value)
 
 
@@ -319,25 +358,13 @@ def render_csv(cfg: dict, rows: list, kind: str) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     columns = _CSV_COLUMNS[kind]
     writer.writerow(columns)
-    for row in rows:
-        record = []
-        for col in columns:
-            value = row[col]
-            if col == "epsilons":
-                record.append(";".join(_fmt(e) for e in value))
-            elif col == "params":
-                record.append(json.dumps(value, sort_keys=True))
-            else:
-                record.append(_fmt(value))
-        writer.writerow(record)
+    writer.writerows([_fmt(row[col]) for col in columns] for row in rows)
     return buf.getvalue()
 
 
 def render_jsonl(cfg: dict, rows: list) -> str:
-    lines = [json.dumps({"config": cfg}, sort_keys=True)]
-    for row in rows:
-        lines.append(json.dumps(row, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    lines = [{"config": cfg}] + rows
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
 def _emit(cfg: dict, rows: list, kind: str):
@@ -358,72 +385,43 @@ def _emit(cfg: dict, rows: list, kind: str):
 
 # ----------------------------------------------------------------- argparse
 
+#: Grid-command flags: the config field each one overrides, and its argparse settings.
+_FLAGS = {
+    "--model": (("model", "type"), {"choices": list(_MODELS)}),
+    "--n-sites": (("model", "n_sites"), {"type": int, "help": "chain length (model=chain)"}),
+    "--quantity": (("quantity",), {"choices": ["thermal", "entanglement"]}),
+    "--v-min": (("coupling_grid", "min"), {"type": float}),
+    "--v-max": (("coupling_grid", "max"), {"type": float}),
+    "--v-steps": (("coupling_grid", "steps"), {"type": int}),
+    "--beta": (("beta",), {"type": float}),
+    "--t-min": (("temperature_grid", "min"), {"type": float}),
+    "--t-max": (("temperature_grid", "max"), {"type": float}),
+    "--t-steps": (("temperature_grid", "steps"), {"type": int}),
+    "--seed": (("optimizer", "seed"), {"type": int}),
+    "--restarts": (("optimizer", "restarts"), {"type": int}),
+    "--max-iter": (("optimizer", "max_iter"), {"type": int}),
+    "--out": (("output", "path"), {"help": "output path (default: stdout)"}),
+    "--format": (("output", "format"), {"choices": ["csv", "jsonl"]}),
+}
+
+
 def _add_common_flags(sub):
     sub.add_argument("--config", help="path to a JSON configuration file")
-    sub.add_argument("--model", choices=["dimer", "chain"])
-    sub.add_argument("--n-sites", type=int, help="chain length (model=chain)")
-    sub.add_argument("--quantity", choices=["thermal", "entanglement"])
-    sub.add_argument("--v-min", type=float)
-    sub.add_argument("--v-max", type=float)
-    sub.add_argument("--v-steps", type=int)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--t-min", type=float)
-    sub.add_argument("--t-max", type=float)
-    sub.add_argument("--t-steps", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--restarts", type=int)
-    sub.add_argument("--max-iter", type=int)
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=["csv", "jsonl"])
+    for flag, (_, settings) in _FLAGS.items():
+        sub.add_argument(flag, **settings)
     sub.add_argument("--strict", action="store_true",
                      help="exit 3 if any grid point fails to converge")
 
 
 def _overrides_from_args(args) -> dict:
     over: dict = {}
-    if args.model:
-        over["model"] = {"type": args.model}
+    for flag, (path, _) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            section = over if len(path) == 1 else over.setdefault(path[0], {})
+            section[path[-1]] = value
     if args.n_sites is not None:
-        over.setdefault("model", {})["n_sites"] = args.n_sites
         over["model"].setdefault("type", "chain")
-    if args.quantity:
-        over["quantity"] = args.quantity
-    grid = {}
-    if args.v_min is not None:
-        grid["min"] = args.v_min
-    if args.v_max is not None:
-        grid["max"] = args.v_max
-    if args.v_steps is not None:
-        grid["steps"] = args.v_steps
-    if grid:
-        over["coupling_grid"] = grid
-    tgrid = {}
-    if args.t_min is not None:
-        tgrid["min"] = args.t_min
-    if args.t_max is not None:
-        tgrid["max"] = args.t_max
-    if args.t_steps is not None:
-        tgrid["steps"] = args.t_steps
-    if tgrid:
-        over["temperature_grid"] = tgrid
-    if args.beta is not None:
-        over["beta"] = args.beta
-    opt = {}
-    if args.seed is not None:
-        opt["seed"] = args.seed
-    if args.restarts is not None:
-        opt["restarts"] = args.restarts
-    if args.max_iter is not None:
-        opt["max_iter"] = args.max_iter
-    if opt:
-        over["optimizer"] = opt
-    out = {}
-    if args.out is not None:
-        out["path"] = args.out
-    if args.format is not None:
-        out["format"] = args.format
-    if out:
-        over["output"] = out
     return over
 
 
@@ -453,8 +451,8 @@ def _grid_command(args, runner, kind: str) -> int:
     cfg = _load_config(args)
     rows = runner(cfg)
     _emit(cfg, rows, kind)
-    if args.strict and any(not row["converged"] for row in rows):
-        bad = sum(1 for row in rows if not row["converged"])
+    bad = sum(1 for row in rows if not row["converged"])
+    if args.strict and bad:
         print(f"error: {bad} grid point(s) did not converge", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -466,10 +464,8 @@ def main(argv=None) -> int:
         description="Interaction distance sweeps over coupling and temperature.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sweep = sub.add_parser("sweep", help="interaction distance over a parameter grid")
-    _add_common_flags(sweep)
-    compare = sub.add_parser("compare", help="exact vs first-order perturbative distance")
-    _add_common_flags(compare)
+    _add_common_flags(sub.add_parser("sweep", help="interaction distance over a parameter grid"))
+    _add_common_flags(sub.add_parser("compare", help="exact vs first-order perturbative distance"))
     sub.add_parser("bound", help="print the universal upper bound 3 - 2*sqrt(2)")
     sub.add_parser("version", help="print the package version")
 
@@ -481,9 +477,8 @@ def main(argv=None) -> int:
         print(__version__)
         return EXIT_OK
     try:
-        if args.command == "sweep":
-            return _grid_command(args, run_sweep, "sweep")
-        return _grid_command(args, run_compare, "compare")
+        runner = run_sweep if args.command == "sweep" else run_compare
+        return _grid_command(args, runner, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -80,6 +80,31 @@ def free_probabilities(params: FreeSpectrumParams, beta: float) -> ProbabilitySp
     return ProbabilitySpectrum(w / w.sum(), origin=f"thermal(beta={beta:g})")
 
 
+def _greedy_match(levels, n_modes: int, atol: float):
+    """Greedy subset-sum matching of levels measured from their lowest entry.
+
+    Returns (gaps, labels, unmatched): up to n_modes gaps (fewer once no level
+    is left over), the (sum, occupation bitstring) of every subset of them,
+    and how many sums matched no level within atol.
+    """
+    gaps, labels, unmatched = [], [(0.0, 0)], 0
+    for j in range(n_modes):
+        remaining = list(levels)
+        for s, _ in sorted(labels):
+            for idx, val in enumerate(remaining):
+                if abs(val - s) <= atol:
+                    del remaining[idx]
+                    break
+            else:
+                unmatched += 1
+        if not remaining:
+            break
+        e = remaining[0]
+        gaps.append(e)
+        labels += [(s + e, pat | (1 << j)) for s, pat in labels]
+    return gaps, labels, unmatched
+
+
 def greedy_single_particle_gaps(levels, n_modes: int, match_tol: float = 1e-9,
                                 filler: float = None) -> np.ndarray:
     """Greedy decomposition of a level list into n_modes single-particle gaps.
@@ -99,20 +124,5 @@ def greedy_single_particle_gaps(levels, n_modes: int, match_tol: float = 1e-9,
     top = lv[-1]
     if filler is None:
         filler = top + 1.0
-    scale = max(1.0, abs(top))
-    gaps = []
-    sums = [0.0]
-    for _ in range(n_modes):
-        remaining = list(lv)
-        for s in sorted(sums):
-            for idx, val in enumerate(remaining):
-                if abs(val - s) <= match_tol * scale:
-                    del remaining[idx]
-                    break
-        if not remaining:
-            gaps.append(filler)
-            continue
-        e = remaining[0]
-        gaps.append(e)
-        sums += [s + e for s in sums]
-    return np.array(gaps)
+    gaps, _, _ = _greedy_match(lv, n_modes, match_tol * max(1.0, abs(top)))
+    return np.array(gaps + [filler] * (n_modes - len(gaps)))

@@ -35,16 +35,19 @@ class DimerParams:
     v: float = 0.0
 
 
+_DIMER_SECTOR_BASIS = OccupationBasis(4, (0b1100, 0b1001, 0b0110, 0b0011),
+                                     Sector(n_particles=2, spin_z=0.0))
+
+
 def dimer_sector_basis() -> OccupationBasis:
     """The S_z = 0 half-filled sector in the reference ordering.
 
     States: site 2 doubly occupied; up on site 1 / down on site 2; down on
     site 1 / up on site 2; site 1 doubly occupied.  The ordering is fixed so
     eigenvector coefficients are stable for comparison against tabulated
-    values.
+    values.  The basis is immutable, so every call returns the same object.
     """
-    return OccupationBasis(4, (0b1100, 0b1001, 0b0110, 0b0011),
-                           Sector(n_particles=2, spin_z=0.0))
+    return _DIMER_SECTOR_BASIS
 
 
 def dimer_kernel(params: DimerParams) -> np.ndarray:

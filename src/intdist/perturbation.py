@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import ManyBodyOperator
+from .free_fermion import _greedy_match
 from .spectra import EigenSystem
 
 DEGENERACY_TOL = 1e-8
@@ -161,22 +162,9 @@ def infer_free_labeling(energies, tol: float = LABELING_TOL):
         raise ValueError(f"spectrum size {n_states} is not a power of two")
     shifted = lv - lv[0]
     scale = max(1.0, abs(shifted[-1]))
-    eps = []
-    labeled = [(0.0, 0)]
-    for j in range(n_modes):
-        remaining = list(shifted)
-        for s, _ in sorted(labeled):
-            for idx, val in enumerate(remaining):
-                if abs(val - s) <= tol * scale:
-                    del remaining[idx]
-                    break
-            else:
-                raise ValueError("spectrum admits no free labeling within tolerance")
-        if not remaining:
-            raise ValueError("spectrum admits no free labeling within tolerance")
-        e = remaining[0]
-        eps.append(e)
-        labeled += [(s + e, pat | (1 << j)) for s, pat in labeled]
+    eps, labeled, unmatched = _greedy_match(shifted, n_modes, tol * scale)
+    if unmatched or len(eps) < n_modes:
+        raise ValueError("spectrum admits no free labeling within tolerance")
     labeled.sort()
     pattern = np.empty(n_states, dtype=np.int64)
     for idx, (value, pat) in enumerate(labeled):

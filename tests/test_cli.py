@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from intdist.cli import main, render_csv, run_sweep, validate_config
+from intdist.cli import _FLAGS, main, render_csv, run_sweep, validate_config
 
 FAST_OPT = {"seed": 7, "restarts": 4, "max_iter": 2000}
 
@@ -57,19 +57,6 @@ def test_sweep_is_byte_identical_across_runs(tmp_path):
     first = out.read_bytes()
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert out.read_bytes() == first
-
-
-def test_sweep_threaded_output_matches_serial(tmp_path, monkeypatch):
-    cfg = {"coupling_grid": {"min": 0.0, "max": 2.0, "steps": 4}, "optimizer": FAST_OPT}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "sweep.csv"
-    monkeypatch.setenv("INTDIST_THREADS", "1")
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    serial = out.read_bytes()
-    monkeypatch.setenv("INTDIST_THREADS", "3")
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert out.read_bytes() == serial
 
 
 def test_sweep_jsonl_format(capsys):
@@ -181,6 +168,84 @@ def test_config_rejects_chain_beyond_site_cap(capsys):
     code, _, err = _run(capsys, ["sweep", "--model", "chain", "--n-sites", "14"])
     assert code == 2
     assert "n_sites" in err and "13" in err
+
+
+# config file -> the field its error message must name
+_CONFIG_FILE_ERRORS = [
+    ({"model": {"type": "chain", "n_sites": 4, "hopping": "x"}}, "model.hopping"),
+    ({"model": {"type": "chain", "n_sites": 4, "potential": [1, 2]}}, "model.potential"),
+    ({"model": {"type": "chain", "n_sites": 4, "hopping": [[0, 1], [1, 0]]}}, "model.hopping"),
+    ({"model": {"type": "chain", "n_sites": 3, "hopping": True}}, "model.hopping"),
+    ({"model": {"type": "chain", "n_sites": 3, "potential": [0, 0, float("nan")]}},
+     "model.potential"),
+    ({"model": {"type": "chain", "n_sites": True}}, "model.n_sites"),
+    ({"model": {"type": "chain", "n_sites": 1}, "quantity": "entanglement"}, "model.n_sites"),
+    ({"model": {"type": "dimer", "t": True}}, "model.t"),
+    ({"model": 3}, "model"),
+    ({"optimizer": {"seed": -1}}, "optimizer.seed"),
+    ({"optimizer": {"restarts": True}}, "optimizer.restarts"),
+    ({"coupling_grid": {"min": 0, "max": "inf", "steps": 2}}, "coupling_grid.max"),
+    ({"coupling_grid": {"min": 0, "max": 1, "steps": True}}, "coupling_grid"),
+    ({"temperature_grid": {"min": 0.5, "max": "inf", "steps": 2}}, "temperature_grid.max"),
+    ({"output": 3}, "output"),
+    ({"output": {"path": 5}}, "output.path"),
+]
+
+
+@pytest.mark.parametrize("cfg, field", _CONFIG_FILE_ERRORS,
+                         ids=[field for _, field in _CONFIG_FILE_ERRORS])
+def test_config_file_errors_exit_2_and_name_the_field(cfg, field, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, ["sweep", "--config", str(cfg_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and field in err
+
+
+# flag -> (value the config file sets, value the flag sets)
+_PRECEDENCE_CASES = {
+    "--model": ("chain", "dimer"),
+    "--n-sites": (2, 3),
+    "--quantity": ("entanglement", "thermal"),
+    "--v-min": (0.5, 0.25),
+    "--v-max": (1.0, 2.0),
+    "--v-steps": (1, 2),
+    "--beta": (2.0, 0.5),
+    "--t-min": (1.0, 0.5),
+    "--t-max": (2.0, 3.0),
+    "--t-steps": (1, 2),
+    "--seed": (1, 2),
+    "--restarts": (1, 2),
+    "--max-iter": (20, 30),
+    "--out": ("file.csv", "flag.csv"),
+    "--format": ("csv", "jsonl"),
+}
+
+
+@pytest.mark.parametrize("flag", list(_FLAGS))
+def test_flag_overrides_config_file(flag, tmp_path, capsys):
+    path, _ = _FLAGS[flag]
+    file_value, flag_value = _PRECEDENCE_CASES[flag]
+    if flag == "--out":
+        file_value, flag_value = str(tmp_path / file_value), str(tmp_path / flag_value)
+    cfg = {"coupling_grid": {"min": 0.0, "max": 1.0, "steps": 1},
+           "optimizer": {"seed": 1, "restarts": 1, "max_iter": 20}}
+    if path[0] == "model":
+        cfg["model"] = {"type": "chain", "n_sites": 2}
+    if path[0] == "temperature_grid":
+        cfg["temperature_grid"] = {"min": 1.0, "max": 2.0, "steps": 1}
+    (cfg if len(path) == 1 else cfg.setdefault(path[0], {}))[path[-1]] = file_value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = _run(capsys, ["sweep", "--config", str(cfg_path), flag, str(flag_value)])
+    assert code == 0
+    first = ((tmp_path / "flag.csv").read_text() if flag == "--out" else out).splitlines()[0]
+    if first.startswith("# config: "):
+        echoed = json.loads(first[len("# config: "):])
+    else:
+        echoed = json.loads(first)["config"]
+    assert (echoed if len(path) == 1 else echoed[path[0]])[path[-1]] == flag_value
 
 
 def test_unwritable_output_path(capsys):
