@@ -16,8 +16,8 @@ from .free_fermion import (FreeSpectrumParams, diagonalize_kernel,
                            free_probabilities)
 from .models import (ChainParams, DimerParams, dimer_sector_basis,
                      hubbard_dimer, hubbard_dimer_full, spinless_chain)
-from .perturbation import (PerturbativeDecomposition, dimer_perturbative_dent,
-                           first_order_energies, infer_free_labeling,
+from .perturbation import (PerturbativeDecomposition, first_order_energies,
+                           first_order_reduced_density, infer_free_labeling, perturbative_dent,
                            perturbative_dth, perturbative_free_decomposition)
 from .spectra import (EigenSystem, ProbabilitySpectrum, exact_diagonalize,
                       reduced_density_spectrum, thermal_probabilities)
@@ -33,9 +33,9 @@ __all__ = [
     "free_partition_function", "free_probabilities",
     "ChainParams", "DimerParams", "dimer_sector_basis", "hubbard_dimer",
     "hubbard_dimer_full", "spinless_chain",
-    "PerturbativeDecomposition", "dimer_perturbative_dent",
-    "first_order_energies", "infer_free_labeling", "perturbative_dth",
-    "perturbative_free_decomposition",
+    "PerturbativeDecomposition", "first_order_energies",
+    "first_order_reduced_density", "infer_free_labeling", "perturbative_dent",
+    "perturbative_dth", "perturbative_free_decomposition",
     "EigenSystem", "ProbabilitySpectrum", "exact_diagonalize",
     "reduced_density_spectrum", "thermal_probabilities",
 ]

@@ -24,7 +24,7 @@ from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
 from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
                      hubbard_dimer, spinless_chain)
-from .perturbation import (dimer_perturbative_dent, infer_free_labeling,
+from .perturbation import (first_order_reduced_density, infer_free_labeling, perturbative_dent,
                            perturbative_dth, perturbative_free_decomposition)
 from .spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
@@ -160,9 +160,10 @@ def _grid_values(spec, name: str) -> np.ndarray:
     malformed = f"{name} requires numeric min/max and integer steps"
     _require(not any(isinstance(value, bool) for value in spec.values()), malformed)
     try:
-        lo, hi, steps = float(spec["min"]), float(spec["max"]), int(spec["steps"])
+        lo, hi, steps = float(spec["min"]), float(spec["max"]), spec["steps"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(malformed) from exc
+    _require(_is_int(steps), malformed)
     _require(math.isfinite(lo), f"{name}.min must be finite")
     _require(math.isfinite(hi), f"{name}.max must be finite")
     _require(steps >= 1, f"{name}.steps must be >= 1")
@@ -282,11 +283,14 @@ def _sweep_point(cfg: dict, point) -> dict:
 
 
 def _perturbative_context(cfg: dict):
-    """Reference eigensystem, labeling, and unit interaction for compare runs."""
+    """First-order data for compare rows: (eigensystem, labeling, unit interaction)
+    for thermal, (r0, slope) of the reduced density spectrum for entanglement."""
     spec, params = _configured_model(cfg)
     eig = exact_diagonalize(spec.hamiltonian(params, 0.0))
-    _, pattern = infer_free_labeling(eig.energies)
-    return eig, pattern, spec.unit_interaction(params)
+    unit_v = spec.unit_interaction(params)
+    if cfg["quantity"] == "entanglement":
+        return first_order_reduced_density(eig, unit_v, spec.region(params))
+    return eig, infer_free_labeling(eig.energies)[1], unit_v
 
 
 def _compare_point(cfg: dict, context, point) -> dict:
@@ -294,7 +298,7 @@ def _compare_point(cfg: dict, context, point) -> dict:
     v = row["v"]
     if cfg["quantity"] == "entanglement":
         try:
-            pert = dimer_perturbative_dent(v)
+            pert = perturbative_dent(*context, v)
         except ValueError:
             pert = float("nan")
     else:
@@ -316,7 +320,7 @@ def run_compare(cfg: dict) -> list:
     """Exact and first-order perturbative distances per grid point."""
     if cfg["quantity"] == "entanglement" and cfg["model"]["type"] != "dimer":
         raise ConfigError("compare with quantity=entanglement supports model.type=dimer only")
-    context = None if cfg["quantity"] == "entanglement" else _perturbative_context(cfg)
+    context = _perturbative_context(cfg)
     return [_compare_point(cfg, context, point) for point in _grid_points(cfg)]
 
 

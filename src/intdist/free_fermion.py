@@ -15,6 +15,8 @@ from .fock import HERMITICITY_TOL
 from .spectra import ProbabilitySpectrum
 
 MAX_FREE_MODES = 20
+#: Relative tolerance (times max(1, level span)) for matching subset sums to levels.
+GREEDY_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,7 @@ def _greedy_match(levels, n_modes: int, atol: float):
     return gaps, labels, unmatched
 
 
-def greedy_single_particle_gaps(levels, n_modes: int, match_tol: float = 1e-9,
-                                filler: float = None) -> np.ndarray:
+def greedy_single_particle_gaps(levels, n_modes: int, filler: float = None) -> np.ndarray:
     """Greedy decomposition of a level list into n_modes single-particle gaps.
 
     The lowest level is taken as the reference; repeatedly, every sum of the
@@ -124,5 +125,5 @@ def greedy_single_particle_gaps(levels, n_modes: int, match_tol: float = 1e-9,
     top = lv[-1]
     if filler is None:
         filler = top + 1.0
-    gaps, _, _ = _greedy_match(lv, n_modes, match_tol * max(1.0, abs(top)))
+    gaps, _, _ = _greedy_match(lv, n_modes, GREEDY_MATCH_TOL * max(1.0, abs(top)))
     return np.array(gaps + [filler] * (n_modes - len(gaps)))

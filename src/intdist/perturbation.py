@@ -1,10 +1,12 @@
-"""First-order perturbation theory for the thermal interaction distance.
+"""First-order perturbation theory for the thermal and entanglement distances.
 
 Starting from a free Hamiltonian with a known occupation labeling of its
 eigenstates, the first-order energies split into a part absorbed by shifted
 single-particle energies (measured from the perturbed vacuum) and residual
-interaction energies on the multiply-occupied states.  The interaction
-distance then has a closed form, with no optimization.
+interaction energies on the multiply-occupied states.  The same degenerate
+first-order step applied to the ground state's reduced density matrix gives
+its eigenvalues to first order.  Both interaction distances then have a
+closed form, with no optimization.
 """
 
 import warnings
@@ -14,10 +16,9 @@ import numpy as np
 
 from .fock import ManyBodyOperator
 from .free_fermion import _greedy_match
-from .spectra import EigenSystem
+from .spectra import EigenSystem, amplitude_matrix
 
 DEGENERACY_TOL = 1e-8
-OFFDIAG_TOL = 1e-10
 LABELING_TOL = 1e-8
 
 
@@ -65,83 +66,65 @@ class PerturbativeDecomposition:
         return self.occupations() @ self.epsilons_tilde
 
 
-def _degenerate_groups(energies: np.ndarray, tol: float):
-    groups = []
-    start = 0
-    for k in range(1, energies.size + 1):
-        if k == energies.size or energies[k] - energies[k - 1] > tol:
-            groups.append(slice(start, k))
-            start = k
-    return groups
+def _first_order_split(values, vectors, pert_matrix):
+    """One degenerate first-order step for the ascending eigenvalues ``values``.
 
-
-def resolve_degeneracies(h0_eigen: EigenSystem, v_op: ManyBodyOperator,
-                         degeneracy_tol: float = DEGENERACY_TOL,
-                         auto_rotate: bool = True):
-    """Per-state first-order coefficients of a perturbation, degeneracy-safe.
-
-    Within each degenerate subspace of the unperturbed spectrum, the
-    eigenvectors are rotated so the perturbation is diagonal there (the
-    rotation is the identity when the perturbation does not couple the
-    subspace).  Returns (coefficients, vectors) with coefficients ascending
-    inside each degenerate group.  With auto_rotate disabled, off-diagonal
-    elements above 1e-10 in a degenerate block raise instead.
+    Within each degenerate group the columns of ``vectors`` are rotated so
+    ``pert_matrix`` is diagonal there (the identity when it does not couple
+    the group).  Returns (coefficients, rotated vectors) with coefficients
+    ascending inside each group.
     """
-    if h0_eigen.vectors is None:
-        raise ValueError("eigenvectors are required for perturbation theory")
-    energies = h0_eigen.energies
-    vectors = np.array(h0_eigen.vectors)
-    v = v_op.matrix
-    coeffs = np.empty(energies.size)
-    for grp in _degenerate_groups(energies, degeneracy_tol):
+    vectors = np.array(vectors)
+    coeffs = np.empty(values.size)
+    cuts = (np.flatnonzero(np.diff(values) > DEGENERACY_TOL) + 1).tolist()
+    for grp in map(slice, [0] + cuts, cuts + [values.size]):
         x = vectors[:, grp]
-        block = x.T @ v @ x
-        if grp.stop - grp.start == 1:
-            coeffs[grp] = block[0, 0]
-            continue
-        off = np.abs(block - np.diag(np.diag(block))).max()
-        if not auto_rotate:
-            if off > OFFDIAG_TOL:
-                raise ValueError(
-                    f"perturbation couples a degenerate subspace (off-diagonal {off:.2e}) "
-                    "and auto-rotation is disabled"
-                )
-            coeffs[grp] = np.diag(block)
-            continue
-        vals, w = np.linalg.eigh(block)
-        coeffs[grp] = vals
+        coeffs[grp], w = np.linalg.eigh(x.T @ pert_matrix @ x)
         vectors[:, grp] = x @ w
     return coeffs, vectors
 
 
-def first_order_energies(h0_eigen: EigenSystem, v_op: ManyBodyOperator, lam: float,
-                         auto_rotate: bool = True) -> np.ndarray:
+def resolve_degeneracies(h0_eigen: EigenSystem, v_op: ManyBodyOperator):
+    """Per-state first-order coefficients of a perturbation, degeneracy-safe.
+
+    Within each degenerate subspace of the unperturbed spectrum, the
+    eigenvectors are rotated so the perturbation is diagonal there.  Returns
+    (coefficients, vectors) with coefficients ascending inside each
+    degenerate group.
+    """
+    if h0_eigen.vectors is None:
+        raise ValueError("eigenvectors are required for perturbation theory")
+    return _first_order_split(h0_eigen.energies, h0_eigen.vectors, v_op.matrix)
+
+
+def first_order_energies(h0_eigen: EigenSystem, v_op: ManyBodyOperator, lam: float) -> np.ndarray:
     """Eigenvalues corrected to first order in the coupling.
 
     Ordering follows the unperturbed labeling; inside a degenerate group the
     states are ordered by ascending perturbation coefficient.
     """
-    coeffs, _ = resolve_degeneracies(h0_eigen, v_op, auto_rotate=auto_rotate)
+    coeffs, _ = resolve_degeneracies(h0_eigen, v_op)
     return h0_eigen.energies + lam * coeffs
 
 
+def _state_and_correction(h0_eigen: EigenSystem, v_op: ManyBodyOperator, k: int):
+    """Rotated eigenstate k and its first-order correction per unit coupling."""
+    _, vectors = resolve_degeneracies(h0_eigen, v_op)
+    gaps = h0_eigen.energies[k] - h0_eigen.energies
+    outside = np.abs(gaps) > DEGENERACY_TOL
+    amps = vectors.T @ v_op.matrix @ vectors[:, k]
+    return vectors[:, k], vectors[:, outside] @ (amps[outside] / gaps[outside])
+
+
 def first_order_eigenstate(h0_eigen: EigenSystem, v_op: ManyBodyOperator, lam: float,
-                           k: int, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
+                           k: int) -> np.ndarray:
     """Eigenstate k corrected to first order (not renormalized).
 
     Mixes in every state outside the degenerate group of k with amplitude
-    proportional to the coupling matrix element over the energy gap; the
-    degenerate group itself must already be uncoupled or pre-rotated.
+    proportional to the coupling matrix element over the energy gap.
     """
-    coeffs, vectors = resolve_degeneracies(h0_eigen, v_op, degeneracy_tol)
-    energies = h0_eigen.energies
-    psi = np.array(vectors[:, k])
-    for m in range(energies.size):
-        if abs(energies[m] - energies[k]) <= degeneracy_tol:
-            continue
-        amp = vectors[:, m] @ v_op.matrix @ vectors[:, k]
-        psi += lam * amp / (energies[k] - energies[m]) * vectors[:, m]
-    return psi
+    psi, correction = _state_and_correction(h0_eigen, v_op, k)
+    return psi + lam * correction
 
 
 def infer_free_labeling(energies, tol: float = LABELING_TOL):
@@ -176,8 +159,29 @@ def infer_free_labeling(energies, tol: float = LABELING_TOL):
     return np.array(eps), pattern
 
 
+def _decompose(levels: np.ndarray, pattern) -> PerturbativeDecomposition:
+    """Pin mode energies by the vacuum and single-occupancy levels of a labeled spectrum."""
+    pattern = np.asarray(pattern, dtype=np.int64)
+    if pattern.shape != levels.shape:
+        raise ValueError("pattern and spectrum sizes differ")
+    n_modes = int(pattern.max()).bit_length()
+    if 1 << n_modes != pattern.size:
+        raise ValueError(f"pattern does not enumerate a full set of {pattern.size} states")
+    pins = [np.flatnonzero(pattern == bits) for bits in [0] + [1 << j for j in range(n_modes)]]
+    if any(hits.size != 1 for hits in pins):
+        raise ValueError("pattern must contain exactly one vacuum state and one "
+                         "single-occupancy state per mode")
+    pins = np.concatenate(pins)
+    e_vacuum = levels[pins[0]]
+    eps = levels[pins[1:]] - e_vacuum
+    bits = ((pattern[:, None] >> np.arange(n_modes)[None, :]) & 1).astype(float)
+    residual = (levels - e_vacuum) - bits @ eps
+    residual[pins] = 0.0
+    return PerturbativeDecomposition(eps, residual, pattern, float(e_vacuum))
+
+
 def perturbative_free_decomposition(h0_eigen: EigenSystem, pattern, v_op: ManyBodyOperator,
-                                    lam: float, auto_rotate: bool = True) -> PerturbativeDecomposition:
+                                    lam: float) -> PerturbativeDecomposition:
     """Split first-order energies into shifted mode energies and residuals.
 
     The vacuum (pattern 0) and the single-occupancy states pin the shifted
@@ -185,29 +189,7 @@ def perturbative_free_decomposition(h0_eigen: EigenSystem, pattern, v_op: ManyBo
     remaining state's deviation from the subset sum is its residual
     interaction energy.
     """
-    pattern = np.asarray(pattern, dtype=np.int64)
-    energies = first_order_energies(h0_eigen, v_op, lam, auto_rotate=auto_rotate)
-    if pattern.shape != energies.shape:
-        raise ValueError("pattern and spectrum sizes differ")
-    n_modes = int(pattern.max()).bit_length()
-    if 1 << n_modes != pattern.size:
-        raise ValueError(f"pattern does not enumerate a full set of {pattern.size} states")
-    vac = np.flatnonzero(pattern == 0)
-    if vac.size != 1:
-        raise ValueError("pattern must contain exactly one vacuum state")
-    e_vacuum = energies[vac[0]]
-    eps_tilde = np.empty(n_modes)
-    for j in range(n_modes):
-        single = np.flatnonzero(pattern == (1 << j))
-        if single.size != 1:
-            raise ValueError(f"pattern must contain exactly one single-occupancy state for mode {j}")
-        eps_tilde[j] = energies[single[0]] - e_vacuum
-    bits = ((pattern[:, None] >> np.arange(n_modes)[None, :]) & 1).astype(float)
-    delta = (energies - e_vacuum) - bits @ eps_tilde
-    delta[vac[0]] = 0.0
-    for j in range(n_modes):
-        delta[np.flatnonzero(pattern == (1 << j))[0]] = 0.0
-    return PerturbativeDecomposition(eps_tilde, delta, pattern, float(e_vacuum))
+    return _decompose(first_order_energies(h0_eigen, v_op, lam), pattern)
 
 
 def perturbative_dth(decomp: PerturbativeDecomposition, beta: float) -> float:
@@ -234,35 +216,37 @@ def perturbative_dth(decomp: PerturbativeDecomposition, beta: float) -> float:
     return 0.5 * float(w @ np.abs(scaled - mean))
 
 
-_SQRT2 = np.sqrt(2.0)
+def first_order_reduced_density(h0_eigen: EigenSystem, v_op: ManyBodyOperator, region_a):
+    """First-order eigenvalues r0 + lam * slope of the ground state's density matrix over A.
 
-# First-order data for the two-site interacting dimer at default couplings:
-# unperturbed reduced-density eigenvalues of the half-system cut and their
-# linear responses to the on-site coupling.  The degenerate middle pair
-# splits evenly, which keeps the total weight normalized.
-_DIMER_RDM_0 = np.array([(3 + 2 * _SQRT2) / 8, 1 / 8, 1 / 8, (3 - 2 * _SQRT2) / 8])
-_DIMER_RDM_SLOPE = np.array([(-8 - 5 * _SQRT2) / 128, 5 * _SQRT2 / 128,
-                             5 * _SQRT2 / 128, (8 - 5 * _SQRT2) / 128])
-
-
-def dimer_perturbative_rdm(v: float) -> np.ndarray:
-    """First-order eigenvalues of the dimer's half-system density matrix."""
-    return _DIMER_RDM_0 + v * _DIMER_RDM_SLOPE
-
-
-def dimer_perturbative_dent(v: float) -> float:
-    """First-order entanglement interaction distance of the dimer.
-
-    Valid while the coupling is weak enough that the level ordering of the
-    perturbed reduced density matrix is preserved; raises otherwise.  The
-    two effective entanglement mode energies stay degenerate at first order,
-    log(rho_1 / rho_2) after vacuum renormalization.
+    With M0 and M1 the amplitude matrices of the ground state and of its first-order
+    correction, this is one degenerate first-order step on M0 M0^T with the
+    perturbation M0 M1^T + M1 M0^T.  Returns (r0, slope), both descending.
     """
-    r = dimer_perturbative_rdm(v)
-    if not (r[0] > r[1] and r[1] > r[3]):
-        raise ValueError(f"level ordering violated at coupling {v}; first order is invalid")
-    eps = np.log(r[0] / r[1])
-    free = np.array([0.0, eps, eps, 2 * eps])
-    q = np.exp(-free)
+    psi0, psi1 = _state_and_correction(h0_eigen, v_op, 0)
+    m0 = amplitude_matrix(psi0, v_op.basis, region_a)
+    m1 = amplitude_matrix(psi1, v_op.basis, region_a)
+    r0, vectors = np.linalg.eigh(m0 @ m0.T)
+    slope, _ = _first_order_split(r0, vectors, m0 @ m1.T + m1 @ m0.T)
+    return r0[::-1], slope[::-1]
+
+
+def perturbative_dent(r0, slope, lam: float) -> float:
+    """First-order entanglement interaction distance.
+
+    The free labeling of the entanglement energies -log(r0) pairs every
+    entry of r = r0 + lam * slope with an occupation pattern; the vacuum and
+    single-occupancy entries of r pin the free spectrum it is compared with.
+    Valid while the coupling is weak enough that every entry stays positive
+    and distinct levels of r0 keep their order; raises otherwise.
+    """
+    r0 = np.asarray(r0, dtype=float)
+    r = r0 + lam * np.asarray(slope, dtype=float)
+    if min(r0.min(), r.min()) <= 0.0:
+        raise ValueError(f"an eigenvalue reaches 0 at coupling {lam}; first order is invalid")
+    if np.any((r0[:, None] - r0[None, :] > DEGENERACY_TOL) & (r[:, None] <= r[None, :])):
+        raise ValueError(f"level ordering violated at coupling {lam}; first order is invalid")
+    _, pattern = infer_free_labeling(-np.log(r0))
+    q = np.exp(-_decompose(-np.log(r), pattern).free_part())
     q /= q.sum()
     return 0.5 * float(np.abs(r - q).sum())

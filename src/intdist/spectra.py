@@ -142,13 +142,27 @@ def _bipartition_tables(basis: OccupationBasis, region_a) -> tuple[np.ndarray, n
     return rows, cols, signs
 
 
+def amplitude_matrix(state, basis: OccupationBasis, region_a) -> np.ndarray:
+    """Amplitudes of a (not necessarily normalized) state as an A-by-B matrix.
+
+    Rows are indexed by A-mode occupations and columns by B-mode occupations,
+    with fermionic reordering signs applied when A is not a mode-index prefix.
+    """
+    psi = np.asarray(state, dtype=float)
+    if psi.shape != (basis.dim,):
+        raise ValueError(f"state length {psi.shape} does not match basis dim {basis.dim}")
+    rows, cols, signs = _bipartition_tables(basis, region_a)
+    n_a = len(set(int(m) for m in region_a))
+    m = np.zeros((1 << n_a, 1 << (basis.n_modes - n_a)))
+    m[rows, cols] = signs * psi
+    return m
+
+
 def reduced_density_spectrum(state, basis: OccupationBasis, region_a) -> ProbabilitySpectrum:
     """Spectrum of the reduced density matrix of a pure state over region A.
 
-    The amplitude vector is reshaped into a matrix with rows indexed by
-    A-mode occupations and columns by B-mode occupations (fermionic
-    reordering signs applied when A is not a mode-index prefix); the spectrum
-    is the squared singular values, zero-padded to dimension 2^|A|.
+    The spectrum is the squared singular values of ``amplitude_matrix``,
+    zero-padded to dimension 2^|A|.
 
     Parameters
     ----------
@@ -156,18 +170,12 @@ def reduced_density_spectrum(state, basis: OccupationBasis, region_a) -> Probabi
     basis    : OccupationBasis the amplitudes refer to.
     region_a : iterable of mode indices kept after the partial trace.
     """
-    psi = np.asarray(state, dtype=float)
-    if psi.shape != (basis.dim,):
-        raise ValueError(f"state length {psi.shape} does not match basis dim {basis.dim}")
-    norm = np.linalg.norm(psi)
+    m = amplitude_matrix(state, basis, region_a)
+    norm = np.linalg.norm(state)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-    rows, cols, signs = _bipartition_tables(basis, region_a)
-    n_a = len(set(int(m) for m in region_a))
-    m = np.zeros((1 << n_a, 1 << (basis.n_modes - n_a)))
-    m[rows, cols] = signs * psi
     sv = np.linalg.svd(m, compute_uv=False)
-    p = np.zeros(1 << n_a)
+    p = np.zeros(m.shape[0])
     p[: sv.size] = sv**2
     p /= p.sum()
     tag = ",".join(str(x) for x in sorted(set(int(v) for v in region_a)))

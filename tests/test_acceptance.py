@@ -18,9 +18,10 @@ from intdist.distance import (OptimizerOptions, df_upper_bound, interaction_dist
 from intdist.fock import build_basis, build_quadratic
 from intdist.free_fermion import (FreeSpectrumParams, diagonalize_kernel,
                                   free_many_body_spectrum, free_probabilities)
-from intdist.models import DimerParams, dimer_sector_basis, hubbard_dimer
-from intdist.perturbation import (dimer_perturbative_dent, infer_free_labeling,
-                                  perturbative_dth, perturbative_free_decomposition)
+from intdist.models import DIMER_SITE1_MODES, DimerParams, dimer_sector_basis, hubbard_dimer
+from intdist.perturbation import (first_order_reduced_density, infer_free_labeling,
+                                  perturbative_dent, perturbative_dth,
+                                  perturbative_free_decomposition)
 from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 SQRT2 = np.sqrt(2.0)
@@ -85,7 +86,8 @@ def curves():
         pert[v] = perturbative_dth(decomp, 1.0)
         exact[v] = dimer_thermal_distance(v, 1.0)
     data["pert_th"], data["exact_th"] = pert, exact
-    data["pert_ent"] = {v: dimer_perturbative_dent(v) for v in (0.1, 0.2, 0.3, 0.4, 0.5)}
+    rdm = first_order_reduced_density(eig0, unit_v, DIMER_SITE1_MODES)
+    data["pert_ent"] = {v: perturbative_dent(*rdm, v) for v in (0.1, 0.2, 0.3, 0.4, 0.5)}
     data["exact_ent"] = {v: dimer_entanglement_distance(v) for v in (0.1, 0.2, 0.3, 0.4, 0.5)}
     return data
 

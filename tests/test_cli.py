@@ -5,6 +5,9 @@ import json
 import pytest
 
 from intdist.cli import _FLAGS, main, render_csv, run_sweep, validate_config
+from intdist.models import DIMER_SITE1_MODES, DimerParams, hubbard_dimer
+from intdist.perturbation import first_order_reduced_density, perturbative_dent
+from intdist.spectra import exact_diagonalize
 
 FAST_OPT = {"seed": 7, "restarts": 4, "max_iter": 2000}
 
@@ -120,6 +123,33 @@ def test_compare_dimer_entanglement(capsys):
     assert float(rows[0]["abs_diff"]) <= 0.01
 
 
+def _compare_entanglement_rows(capsys, tmp_path, model):
+    """Rows of an entanglement compare at couplings 0 and 0.5."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": model, "quantity": "entanglement",
+                                    "coupling_grid": {"min": 0.0, "max": 0.5, "steps": 2},
+                                    "optimizer": FAST_OPT}))
+    code, out, err = _run(capsys, ["compare", "--config", str(cfg_path)])
+    assert code == 0, err
+    return list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
+
+
+def test_compare_entanglement_uses_configured_couplings(capsys, tmp_path):
+    rows = _compare_entanglement_rows(capsys, tmp_path, {"type": "dimer", "t": 2.0})
+    h0, _ = hubbard_dimer(DimerParams(t=2.0))
+    unit_v = hubbard_dimer(DimerParams(t=2.0, v=1.0))[1]
+    rdm = first_order_reduced_density(exact_diagonalize(h0), unit_v, DIMER_SITE1_MODES)
+    assert rows[1]["v"] == "0.5"
+    assert rows[1]["perturbative"] == f"{perturbative_dent(*rdm, 0.5):.12g}"
+    assert rows[1]["perturbative"] != "0.00937294406076"  # the default-coupling value
+
+
+def test_compare_entanglement_product_state_gives_nan(capsys, tmp_path):
+    # t = 0 decouples the sites: the ground state is a product state
+    rows = _compare_entanglement_rows(capsys, tmp_path, {"type": "dimer", "t": 0.0})
+    assert [r["perturbative"] for r in rows] == ["nan", "nan"]
+
+
 def test_compare_chain_entanglement_rejected(capsys):
     code, _, err = _run(capsys, ["compare", "--model", "chain", "--n-sites", "3",
                                  "--quantity", "entanglement"])
@@ -187,6 +217,11 @@ _CONFIG_FILE_ERRORS = [
     ({"coupling_grid": {"min": 0, "max": "inf", "steps": 2}}, "coupling_grid.max"),
     ({"coupling_grid": {"min": 0, "max": 1, "steps": True}}, "coupling_grid"),
     ({"temperature_grid": {"min": 0.5, "max": "inf", "steps": 2}}, "temperature_grid.max"),
+    # fractional steps: the whole message, since the field alone repeats an id above
+    ({"coupling_grid": {"min": 0, "max": 1, "steps": 2.7}},
+     "coupling_grid requires numeric min/max and integer steps"),
+    ({"temperature_grid": {"min": 0.5, "max": 1, "steps": 2.7}},
+     "temperature_grid requires numeric min/max and integer steps"),
     ({"output": 3}, "output"),
     ({"output": {"path": 5}}, "output.path"),
 ]

@@ -1,23 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from intdist.distance import interaction_distance
 from intdist.fock import ManyBodyOperator, build_basis, build_density_density, build_quadratic
-from intdist.models import DimerParams, dimer_sector_basis, hubbard_dimer
-from intdist.perturbation import (PerturbativeDecomposition, dimer_perturbative_dent,
-                                  dimer_perturbative_rdm, first_order_eigenstate,
-                                  first_order_energies, infer_free_labeling,
-                                  perturbative_dth, perturbative_free_decomposition)
+from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_sector_basis,
+                            hubbard_dimer, spinless_chain)
+from intdist.perturbation import (DEGENERACY_TOL, PerturbativeDecomposition,
+                                  first_order_eigenstate, first_order_energies,
+                                  first_order_reduced_density, infer_free_labeling,
+                                  perturbative_dent, perturbative_dth,
+                                  perturbative_free_decomposition, resolve_degeneracies)
 from intdist.spectra import (EigenSystem, exact_diagonalize, reduced_density_spectrum,
                              thermal_probabilities)
 
 SQRT2 = np.sqrt(2.0)
 
+# Closed-form oracle for the dimer at default couplings: unperturbed
+# reduced-density eigenvalues of the half-system cut and their linear
+# responses to the on-site coupling.  The degenerate middle pair splits
+# evenly, which keeps the total weight normalized.
+DIMER_RDM_0 = np.array([(3 + 2 * SQRT2) / 8, 1 / 8, 1 / 8, (3 - 2 * SQRT2) / 8])
+DIMER_RDM_SLOPE = np.array([(-8 - 5 * SQRT2) / 128, 5 * SQRT2 / 128,
+                            5 * SQRT2 / 128, (8 - 5 * SQRT2) / 128])
 
-def _dimer_h0_and_unit_v():
-    h0, _ = hubbard_dimer(DimerParams(v=0.0))
-    unit_v = hubbard_dimer(DimerParams(v=1.0))[1]
+
+def _dimer_h0_and_unit_v(**couplings):
+    h0, _ = hubbard_dimer(DimerParams(v=0.0, **couplings))
+    unit_v = hubbard_dimer(DimerParams(v=1.0, **couplings))[1]
     return exact_diagonalize(h0), unit_v
+
+
+def _dimer_rdm(**couplings):
+    """First-order (r0, slope) of the dimer's half-system density matrix."""
+    eig, unit_v = _dimer_h0_and_unit_v(**couplings)
+    return first_order_reduced_density(eig, unit_v, DIMER_SITE1_MODES)
+
+
+def _exact_dimer_rdm(v, **couplings):
+    h, _ = hubbard_dimer(DimerParams(v=v, **couplings))
+    eig = exact_diagonalize(h)
+    return reduced_density_spectrum(eig.vectors[:, 0], dimer_sector_basis(), (0, 1)).probs
 
 
 def test_zero_perturbation_keeps_energies():
@@ -34,17 +58,33 @@ def test_dimer_first_order_energies():
     np.testing.assert_allclose(energies, expected, atol=1e-12)
 
 
-def test_degenerate_block_without_rotation_raises():
+def test_degenerate_block_is_rotated():
     basis = build_basis(2)
     h0 = EigenSystem(np.array([0.0, 0.0, 1.0, 2.0]), np.eye(4))
     v = np.zeros((4, 4))
     v[0, 1] = v[1, 0] = 0.3  # couples the degenerate pair
     v_op = ManyBodyOperator(basis, v)
-    with pytest.raises(ValueError, match="degenerate"):
-        first_order_energies(h0, v_op, 0.1, auto_rotate=False)
-    # with rotation the block eigenvalues are used
+    # the degenerate block is rotated, so its eigenvalues are used
     energies = first_order_energies(h0, v_op, 1.0)
     np.testing.assert_allclose(energies[:2], [-0.3, 0.3], atol=1e-14)
+
+
+def test_first_order_eigenstate_matches_state_by_state_sum():
+    # reference: the per-state loop over every state outside k's degenerate group
+    chain = ChainParams(4)
+    eig = exact_diagonalize(spinless_chain(chain))
+    v_op = spinless_chain(ChainParams(4, hopping=0.0, potential=0.0, interaction=1.0))
+    assert np.any(np.diff(eig.energies) < DEGENERACY_TOL)  # the spectrum has degeneracies
+    _, vectors = resolve_degeneracies(eig, v_op)
+    lam = 0.3
+    for k in range(eig.energies.size):
+        ref = vectors[:, k].copy()
+        for m in range(eig.energies.size):
+            gap = eig.energies[k] - eig.energies[m]
+            if abs(gap) > DEGENERACY_TOL:
+                ref += lam * (vectors[:, m] @ v_op.matrix @ vectors[:, k]) / gap * vectors[:, m]
+        np.testing.assert_allclose(first_order_eigenstate(eig, v_op, lam, k), ref,
+                                   rtol=0, atol=1e-12)
 
 
 def test_requires_eigenvectors():
@@ -184,43 +224,65 @@ def test_perturbative_dth_rejects_bad_beta():
         perturbative_dth(decomp, np.inf)
 
 
+def test_dimer_first_order_rdm_matches_closed_form():
+    r0, slope = _dimer_rdm()
+    np.testing.assert_allclose(r0, DIMER_RDM_0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(slope, DIMER_RDM_SLOPE, rtol=0, atol=1e-14)
+
+
 def test_dimer_rdm_slopes_match_state_perturbation():
-    # cross-check the tabulated linear responses against the generic
-    # first-order eigenstate route
+    # cross-check the reduced-density slopes against the spectrum of the
+    # first-order eigenstate itself
     eig, unit_v = _dimer_h0_and_unit_v()
     v = 1e-4
     psi = first_order_eigenstate(eig, unit_v, v, k=0)
     psi /= np.linalg.norm(psi)
     spectrum = reduced_density_spectrum(psi, dimer_sector_basis(), (0, 1)).probs
-    np.testing.assert_allclose(spectrum, dimer_perturbative_rdm(v), atol=1e-7)
+    r0, slope = _dimer_rdm()
+    np.testing.assert_allclose(spectrum, r0 + v * slope, atol=1e-7)
 
 
 def test_dimer_rdm_slopes_match_exact_derivative():
     dv = 1e-6
-    def exact_rdm(v):
-        h, _ = hubbard_dimer(DimerParams(v=v))
-        eig = exact_diagonalize(h)
-        return reduced_density_spectrum(eig.vectors[:, 0], dimer_sector_basis(), (0, 1)).probs
-    numeric = (exact_rdm(dv) - exact_rdm(-dv)) / (2 * dv)
-    tabulated = (dimer_perturbative_rdm(1.0) - dimer_perturbative_rdm(0.0))
-    np.testing.assert_allclose(numeric, tabulated, atol=1e-6)
-    assert abs(tabulated.sum()) <= 1e-15  # normalization preserved at first order
+    numeric = (_exact_dimer_rdm(dv) - _exact_dimer_rdm(-dv)) / (2 * dv)
+    _, slope = _dimer_rdm()
+    np.testing.assert_allclose(numeric, slope, atol=1e-6)
+    assert abs(slope.sum()) <= 1e-15  # normalization preserved at first order
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(0.5, 3.0), delta1=st.floats(-2.0, 2.0), delta2=st.floats(-2.0, 2.0))
+def test_first_order_rdm_slope_is_the_exact_derivative(t, delta1, delta2):
+    couplings = {"t": t, "delta1": delta1, "delta2": delta2}
+    eig, _ = _dimer_h0_and_unit_v(**couplings)
+    assume(eig.energies[1] - eig.energies[0] > 1e-2)  # nondegenerate ground state
+    r0, slope = _dimer_rdm(**couplings)
+    # The spin-flip pair is always degenerate and moves as one; any other
+    # degeneracy (equal site potentials) splits at first order, so the sorted
+    # exact spectrum has a kink at v = 0 that a central difference cannot see.
+    assume(np.sum(-np.diff(r0) > 1e-4) == 2)
+    dv = 1e-5
+    numeric = (_exact_dimer_rdm(dv, **couplings) - _exact_dimer_rdm(-dv, **couplings)) / (2 * dv)
+    np.testing.assert_allclose(slope, numeric, rtol=0, atol=1e-6)
+    assert abs(slope.sum()) <= 1e-14
 
 
 def test_dimer_perturbative_rdm_stays_normalized():
+    r0, slope = _dimer_rdm()
     for v in (0.0, 0.3, 1.0):
-        assert dimer_perturbative_rdm(v).sum() == pytest.approx(1.0, abs=1e-14)
+        assert (r0 + v * slope).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dimer_entanglement_mode_energy_closed_form():
+    r0, slope = _dimer_rdm()
     for v in (0.2, 0.7):
-        r = dimer_perturbative_rdm(v)
+        r = r0 + v * slope
         closed = np.log((48 + 32 * SQRT2 + (-8 - 5 * SQRT2) * v) / (16 + 5 * SQRT2 * v))
         assert np.log(r[0] / r[1]) == pytest.approx(closed, abs=1e-14)
 
 
 def test_dimer_perturbative_dent_free_point():
-    assert dimer_perturbative_dent(0.0) <= 1e-15
+    assert perturbative_dent(*_dimer_rdm(), 0.0) <= 1e-15
 
 
 def test_dimer_perturbative_dent_agrees_with_exact():
@@ -229,12 +291,20 @@ def test_dimer_perturbative_dent_agrees_with_exact():
     eig = exact_diagonalize(h)
     rho = reduced_density_spectrum(eig.vectors[:, 0], dimer_sector_basis(), (0, 1))
     exact = interaction_distance(rho, 2, 1.0).value
-    assert abs(dimer_perturbative_dent(v) - exact) <= 0.01
+    assert abs(perturbative_dent(*_dimer_rdm(), v) - exact) <= 0.01
 
 
 def test_dimer_perturbative_dent_rejects_reordered_levels():
     with pytest.raises(ValueError, match="ordering"):
-        dimer_perturbative_dent(4.0)
+        perturbative_dent(*_dimer_rdm(), 4.0)
+
+
+def test_perturbative_dent_product_state_raises():
+    # t = 0 leaves the ground state a product state: reduced-density entries are 0
+    r0, slope = _dimer_rdm(t=0.0)
+    assert r0.tolist() == [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="reaches 0"):
+        perturbative_dent(r0, slope, 0.5)
 
 
 def test_decomposition_validation():
