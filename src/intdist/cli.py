@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +25,8 @@ from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
 from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
                      hubbard_dimer, spinless_chain)
-from .perturbation import (first_order_reduced_density, infer_free_labeling, perturbative_dent,
-                           perturbative_dth, perturbative_free_decomposition)
+from .perturbation import (DEGENERACY_TOL, first_order_reduced_density, infer_free_labeling,
+                           perturbative_dent, perturbative_dth, perturbative_free_decomposition)
 from .spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 EXIT_OK = 0
@@ -120,12 +121,11 @@ _DEFAULT_CONFIG = {
     "model": {"type": "dimer", **_MODELS["dimer"].fields},
     "quantity": "thermal",
     "coupling_grid": {"min": 0.0, "max": 6.0, "steps": 61},
-    "beta": 1.0,
     "optimizer": {"seed": 1234, "restarts": 16, "max_iter": 5000},
     "output": {"path": None, "format": "csv"},
 }
 
-_KNOWN_TOP = set(_DEFAULT_CONFIG) | {"temperature_grid"}
+_KNOWN_TOP = set(_DEFAULT_CONFIG) | {"beta", "temperature_grid"}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -212,7 +212,7 @@ def validate_config(raw: dict) -> dict:
                  "beta and temperature_grid are mutually exclusive")
         cfg.pop("beta", None)
     else:
-        beta = cfg.get("beta", _DEFAULT_CONFIG["beta"])
+        beta = cfg.get("beta", 1.0)
         _require(_is_number(beta) and beta > 0, "beta must be a positive finite number")
         cfg["beta"] = float(beta)
 
@@ -258,9 +258,13 @@ def _spectrum_at(cfg: dict, v: float, beta: float):
     if cfg["quantity"] == "thermal":
         eig = exact_diagonalize(hamiltonian, keep_vectors=False)
         return thermal_probabilities(eig.energies, beta), spec.thermal_modes(params)
-    ground = exact_diagonalize(hamiltonian).vectors[:, 0]
+    eig = exact_diagonalize(hamiltonian)
+    gap = eig.energies[1] - eig.energies[0]
+    if gap <= DEGENERACY_TOL:
+        warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {gap:.3g}): the "
+                      "entanglement spectrum is that of one of the ground states", stacklevel=2)
     region = spec.region(params)
-    return reduced_density_spectrum(ground, hamiltonian.basis, region), len(region)
+    return reduced_density_spectrum(eig.vectors[:, 0], hamiltonian.basis, region), len(region)
 
 
 def _sweep_point(cfg: dict, point) -> dict:
@@ -431,7 +435,6 @@ def _overrides_from_args(args) -> dict:
 
 def _load_config(args) -> dict:
     cfg = dict(_DEFAULT_CONFIG)
-    explicit_beta = args.beta is not None
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -442,13 +445,8 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must contain a JSON object")
-        explicit_beta = explicit_beta or "beta" in file_cfg
         cfg = _merge_config(cfg, file_cfg)
-    cfg = _merge_config(cfg, _overrides_from_args(args))
-    # the default beta yields to an explicitly requested temperature grid
-    if "temperature_grid" in cfg and not explicit_beta:
-        cfg.pop("beta", None)
-    return validate_config(cfg)
+    return validate_config(_merge_config(cfg, _overrides_from_args(args)))
 
 
 def _grid_command(args, runner, kind: str) -> int:

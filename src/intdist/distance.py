@@ -15,10 +15,17 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
+from .fock import MAX_MODES
 from .free_fermion import greedy_single_particle_gaps, subset_sums
+from .spectra import ProbabilitySpectrum
 
-NORMALIZATION_TOL = 1e-8
-
+#: Nelder-Mead stopping tolerances on the simplex size and on its objective spread.
+SIMPLEX_XATOL = 1e-10
+SIMPLEX_FATOL = 1e-13
+#: An unpolished start at or below this objective already sits at the floor D = 0.
+FLOOR_TOL = 10 * SIMPLEX_FATOL
+#: Smallest level span the random restarts are drawn over.
+MIN_START_SPAN = 1e-3
 #: Gibbs weight exponent beyond which an unresolvable free mode is parked.
 _NEGLIGIBLE_EXPONENT = 46.0
 
@@ -34,8 +41,6 @@ class OptimizerOptions:
     seed: int = 1234
     restarts: int = 16
     max_iter: int = 5000
-    xatol: float = 1e-10
-    fatol: float = 1e-13
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -60,21 +65,17 @@ class DistanceResult:
 
 
 def _as_probs(p) -> np.ndarray:
-    arr = np.asarray(getattr(p, "probs", p), dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empty probability vector")
-    total = arr.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL or arr.min() < -NORMALIZATION_TOL:
-        raise ValueError(f"input is not a normalized probability vector (sum={total})")
-    return arr
+    return (p if isinstance(p, ProbabilitySpectrum) else ProbabilitySpectrum(p)).probs
 
 
 def trace_distance_sorted(p, q) -> float:
     """Half the L1 distance of descending-sorted, zero-padded spectra.
 
-    Accepts ProbabilitySpectrum objects or plain vectors; both must sum to 1
-    within 1e-8.  Symmetric, in [0, 1], and insensitive to the order of
-    entries and to padding with zeros.
+    Accepts ProbabilitySpectrum objects or plain vectors.  A plain vector
+    faces the one ProbabilitySpectrum rule: no entry below -CLAMP_TOL, entries
+    below CLAMP_TOL count as 0, and the sum is within NORM_TOL of 1.
+    Symmetric, in [0, 1], and insensitive to the order of entries and to
+    padding with zeros.
     """
     pv = _as_probs(p)
     qv = _as_probs(q)
@@ -103,6 +104,7 @@ def _objective_factory(target_desc: np.ndarray, beta: float):
 
     def objective(eps: np.ndarray) -> float:
         levels = subset_sums(eps)
+        # boltzmann_weights inlined: an 8-mode fit makes ~44k calls, each would pay its validation
         w = np.exp(-beta * (levels - levels.min()))
         q = w / w.sum()
         q.sort()
@@ -139,6 +141,8 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
         n_free_modes = max(0, math.ceil(math.log2(probs.size)))
     if n_free_modes < 0:
         raise ValueError("n_free_modes must be nonnegative")
+    if n_free_modes > MAX_MODES:
+        raise ValueError(f"n_free_modes={n_free_modes} exceeds the cap MAX_MODES={MAX_MODES}")
     if (1 << n_free_modes) < probs.size:
         raise ValueError(
             f"2^{n_free_modes} free levels cannot cover a spectrum of size {probs.size}"
@@ -160,7 +164,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     top = levels[-1] if levels.size else 0.0
     filler = top + _NEGLIGIBLE_EXPONENT / beta
     guess = greedy_single_particle_gaps(levels, n_free_modes, filler=filler)
-    span = max(top, 1e-3)
+    span = max(top, MIN_START_SPAN)
 
     rng = np.random.default_rng(opts.seed)
     starts = [guess]
@@ -182,10 +186,10 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
         if v0 < best_value:
             best_value, best_x, best_restart = v0, np.asarray(x0, float), k
             # a start is only "converged" when it already sits at the floor
-            best_success, best_spread = v0 <= 10 * opts.fatol, 0.0
+            best_success, best_spread = v0 <= FLOOR_TOL, 0.0
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"maxiter": opts.max_iter, "maxfev": 4 * opts.max_iter,
-                                "xatol": opts.xatol, "fatol": opts.fatol})
+                                "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
         total_iterations += int(res.nit)
         if res.fun < best_value:
             best_value, best_x, best_restart = float(res.fun), res.x, k

@@ -22,6 +22,8 @@ import numpy as np
 
 MAX_MODES = 20
 HERMITICITY_TOL = 1e-12
+#: How far 2 * spin_z may sit from an integer.
+HALF_INTEGER_TOL = 1e-12
 
 _POPCOUNT8 = np.array([bin(k).count("1") for k in range(256)], dtype=np.int64)
 
@@ -48,7 +50,8 @@ class Sector:
     spin_z: Optional[float] = None
 
     def __post_init__(self):
-        if self.spin_z is not None and abs(2 * self.spin_z - round(2 * self.spin_z)) > 1e-12:
+        if self.spin_z is not None and (abs(2 * self.spin_z - round(2 * self.spin_z))
+                                        > HALF_INTEGER_TOL):
             raise ValueError(f"spin_z must be a half-integer, got {self.spin_z}")
 
     def admits(self, states, n_modes: int):
@@ -194,30 +197,32 @@ def hopping_element(state: int, i: int, j: int, n_modes: int):
     return inter | (1 << i), sign
 
 
-def _check_symmetric(m: np.ndarray, n: int, what: str, complaint: str) -> np.ndarray:
+def symmetric_matrix(value, n: int, what: str, size_name: str = "n_modes") -> np.ndarray:
+    """``value`` as a real ``n x n`` array, symmetric within HERMITICITY_TOL; raises otherwise."""
+    m = np.asarray(value, dtype=float)
     if m.shape != (n, n):
-        raise ValueError(f"{what} shape {m.shape} does not match n_modes={n}")
+        raise ValueError(f"{what} shape {m.shape} does not match {size_name}={n}")
     if np.abs(m - m.T).max(initial=0.0) > HERMITICITY_TOL:
-        raise ValueError(complaint)
+        raise ValueError(f"{what} is not Hermitian: not symmetric within {HERMITICITY_TOL:g}")
     return m
 
 
 def build_quadratic(basis: OccupationBasis, kernel, diagonal=None) -> ManyBodyOperator:
     """Lift a one-body kernel sum_ij h_ij c_i^dag c_j to the many-body basis.
 
-    The kernel must be real symmetric within 1e-12 and match basis.n_modes.
-    The result commutes with total particle number; if the kernel couples
-    states outside a restricted basis sector, that is an error.  ``diagonal``
-    (length basis.dim, e.g. from density_density_diagonal) is added to the
-    lifted matrix, so a Hamiltonian with a diagonal interaction is assembled
-    and validated as one matrix.
+    The kernel must be real symmetric within HERMITICITY_TOL and match
+    basis.n_modes.  The result commutes with total particle number; if the
+    kernel couples states outside a restricted basis sector, that is an
+    error.  ``diagonal`` (length basis.dim, e.g. from density_density_diagonal)
+    is added to the lifted matrix, so a Hamiltonian with a diagonal
+    interaction is assembled and validated as one matrix.
 
     Each i != j term maps an occupied-j, empty-i state to one target with
     the sign given by the parity of the occupied modes strictly between i
     and j; all such terms are lifted in one array pass over (state, term).
     """
     n = basis.n_modes
-    h = _check_symmetric(np.asarray(kernel, dtype=float), n, "kernel", "kernel is not Hermitian")
+    h = symmetric_matrix(kernel, n, "kernel")
     s = basis.state_array
     occ = basis.occupation_matrix()
     diag = np.zeros(basis.dim)
@@ -246,8 +251,7 @@ def density_density_diagonal(basis: OccupationBasis, coupling) -> np.ndarray:
     A nonzero diagonal V_ii contributes V_ii * n_i since n_i^2 = n_i for
     fermions; such input is accepted as-is.
     """
-    v = _check_symmetric(np.asarray(coupling, dtype=float), basis.n_modes, "coupling",
-                         "coupling matrix is not symmetric")
+    v = symmetric_matrix(coupling, basis.n_modes, "coupling matrix")
     occ = basis.occupation_matrix()
     return ((occ @ v) * occ).sum(axis=1)
 

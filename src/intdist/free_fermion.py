@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import HERMITICITY_TOL
-from .spectra import ProbabilitySpectrum
+from .fock import MAX_MODES, symmetric_matrix
+from .spectra import ProbabilitySpectrum, thermal_probabilities
 
-MAX_FREE_MODES = 20
-#: Relative tolerance (times max(1, level span)) for matching subset sums to levels.
+#: Relative tolerance (times max(1, top level)) for matching subset sums to levels.
 GREEDY_MATCH_TOL = 1e-9
 
 
@@ -41,18 +40,14 @@ class FreeSpectrumParams:
 def diagonalize_kernel(kernel) -> np.ndarray:
     """Single-particle energies of a real symmetric kernel, ascending."""
     h = np.asarray(kernel, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"kernel must be square, got shape {h.shape}")
-    if np.abs(h - h.T).max(initial=0.0) > HERMITICITY_TOL:
-        raise ValueError("kernel is not Hermitian")
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(symmetric_matrix(h, h.shape[0] if h.ndim else 0, "kernel", "rows"))
 
 
 def subset_sums(epsilons) -> np.ndarray:
     """All 2^N sums of subsets of epsilons, indexed by occupation bitstring."""
     eps = np.asarray(epsilons, dtype=float).ravel()
-    if eps.size > MAX_FREE_MODES:
-        raise ValueError(f"too many free modes ({eps.size} > {MAX_FREE_MODES})")
+    if eps.size > MAX_MODES:
+        raise ValueError(f"too many free modes ({eps.size} > {MAX_MODES})")
     levels = np.zeros(1)
     for e in eps:
         levels = np.concatenate([levels, levels + e])
@@ -75,20 +70,22 @@ def free_partition_function(epsilons, beta: float) -> float:
 
 def free_probabilities(params: FreeSpectrumParams, beta: float) -> ProbabilitySpectrum:
     """Gibbs spectrum of a free many-body spectrum; the reference drops out."""
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
-    levels = free_many_body_spectrum(params)
-    w = np.exp(-beta * (levels - levels.min()))
-    return ProbabilitySpectrum(w / w.sum(), origin=f"thermal(beta={beta:g})")
+    return thermal_probabilities(free_many_body_spectrum(params), beta)
 
 
-def _greedy_match(levels, n_modes: int, atol: float):
-    """Greedy subset-sum matching of levels measured from their lowest entry.
+def match_tolerance(levels, rtol: float) -> float:
+    """Absolute tolerance rtol * max(1, |top level|) for ascending levels above 0."""
+    return rtol * max(1.0, abs(levels[-1]))
+
+
+def _greedy_match(levels, n_modes: int, rtol: float):
+    """Greedy subset-sum matching of ascending levels measured from their lowest entry.
 
     Returns (gaps, labels, unmatched): up to n_modes gaps (fewer once no level
     is left over), the (sum, occupation bitstring) of every subset of them,
-    and how many sums matched no level within atol.
+    and how many sums matched no level within match_tolerance(levels, rtol).
     """
+    atol = match_tolerance(levels, rtol)
     gaps, labels, unmatched = [], [(0.0, 0)], 0
     for j in range(n_modes):
         remaining = list(levels)
@@ -122,8 +119,7 @@ def greedy_single_particle_gaps(levels, n_modes: int, filler: float = None) -> n
     if lv.size == 0:
         raise ValueError("no finite levels to decompose")
     lv = lv - lv[0]
-    top = lv[-1]
     if filler is None:
-        filler = top + 1.0
-    gaps, _, _ = _greedy_match(lv, n_modes, GREEDY_MATCH_TOL * max(1.0, abs(top)))
+        filler = lv[-1] + 1.0
+    gaps, _, _ = _greedy_match(lv, n_modes, GREEDY_MATCH_TOL)
     return np.array(gaps + [filler] * (n_modes - len(gaps)))

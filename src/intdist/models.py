@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (HERMITICITY_TOL, ManyBodyOperator, OccupationBasis, Sector, build_basis,
-                   build_density_density, build_quadratic, density_density_diagonal)
+from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis, build_density_density,
+                   build_quadratic, density_density_diagonal, symmetric_matrix)
 
 #: Longest chain the CLI and ChainParams accept.  The full-Fock-space
 #: Hamiltonian and the eigenvector matrix are each dense (2**n)^2 float64
@@ -113,12 +113,7 @@ class ChainParams:
             for i in range(n - 1):
                 m[i, i + 1] = m[i + 1, i] = float(value)
             return m
-        m = np.asarray(value, dtype=float)
-        if m.shape != (n, n):
-            raise ValueError(f"{name} matrix shape {m.shape} does not match n_sites={n}")
-        if np.abs(m - m.T).max(initial=0.0) > HERMITICITY_TOL:
-            raise ValueError(f"{name} matrix must be symmetric")
-        return m
+        return symmetric_matrix(value, n, f"{name} matrix", "n_sites")
 
     def hopping_matrix(self) -> np.ndarray:
         return self._bond_matrix(self.hopping, "hopping")

@@ -15,11 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import ManyBodyOperator
-from .free_fermion import _greedy_match
-from .spectra import EigenSystem, amplitude_matrix
+from .free_fermion import _greedy_match, match_tolerance, subset_sums
+from .spectra import EigenSystem, amplitude_matrix, boltzmann_weights
 
+#: Levels closer than this are one degenerate group.
 DEGENERACY_TOL = 1e-8
+#: Relative tolerance (times max(1, top level)) of a free labeling's reconstruction.
 LABELING_TOL = 1e-8
+#: perturbative_dth warns once max |beta * delta_e| exceeds this.
+DTH_VALIDITY_LIMIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -52,18 +56,9 @@ class PerturbativeDecomposition:
         pat.flags.writeable = False
         object.__setattr__(self, "pattern", pat)
 
-    @property
-    def n_modes(self) -> int:
-        return self.epsilons_tilde.size
-
-    def occupations(self) -> np.ndarray:
-        """0/1 matrix of shape (n_states, n_modes) decoded from pattern."""
-        bits = (self.pattern[:, None] >> np.arange(self.n_modes)[None, :]) & 1
-        return bits.astype(float)
-
     def free_part(self) -> np.ndarray:
         """Subset sums of epsilons_tilde over the stored patterns."""
-        return self.occupations() @ self.epsilons_tilde
+        return subset_sums(self.epsilons_tilde)[self.pattern]
 
 
 def _first_order_split(values, vectors, pert_matrix):
@@ -144,14 +139,14 @@ def infer_free_labeling(energies, tol: float = LABELING_TOL):
     if 1 << n_modes != n_states:
         raise ValueError(f"spectrum size {n_states} is not a power of two")
     shifted = lv - lv[0]
-    scale = max(1.0, abs(shifted[-1]))
-    eps, labeled, unmatched = _greedy_match(shifted, n_modes, tol * scale)
+    eps, labeled, unmatched = _greedy_match(shifted, n_modes, tol)
     if unmatched or len(eps) < n_modes:
         raise ValueError("spectrum admits no free labeling within tolerance")
     labeled.sort()
+    atol = match_tolerance(shifted, tol)
     pattern = np.empty(n_states, dtype=np.int64)
     for idx, (value, pat) in enumerate(labeled):
-        if abs(value - shifted[idx]) > tol * scale:
+        if abs(value - shifted[idx]) > atol:
             raise ValueError(
                 f"level {idx} deviates from the free reconstruction by {abs(value - shifted[idx]):.2e}"
             )
@@ -174,8 +169,7 @@ def _decompose(levels: np.ndarray, pattern) -> PerturbativeDecomposition:
     pins = np.concatenate(pins)
     e_vacuum = levels[pins[0]]
     eps = levels[pins[1:]] - e_vacuum
-    bits = ((pattern[:, None] >> np.arange(n_modes)[None, :]) & 1).astype(float)
-    residual = (levels - e_vacuum) - bits @ eps
+    residual = (levels - e_vacuum) - subset_sums(eps)[pattern]
     residual[pins] = 0.0
     return PerturbativeDecomposition(eps, residual, pattern, float(e_vacuum))
 
@@ -198,20 +192,17 @@ def perturbative_dth(decomp: PerturbativeDecomposition, beta: float) -> float:
     Weights the residual interaction energies with the Gibbs distribution of
     the shifted free spectrum and measures their weighted absolute deviation
     from the mean.  Exactly homogeneous in the residuals; accurate while
-    beta * delta_e stays small (a warning is emitted above 0.5).
+    beta * delta_e stays small (a warning is emitted above DTH_VALIDITY_LIMIT).
     """
-    if not np.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    w = boltzmann_weights(decomp.free_part(), beta)
     scaled = beta * decomp.delta_e
     worst = np.abs(scaled).max(initial=0.0)
-    if worst > 0.5:
+    if worst > DTH_VALIDITY_LIMIT:
         warnings.warn(
-            f"first-order treatment is unreliable: max |beta * delta_e| = {worst:.3g} > 0.5",
+            "first-order treatment is unreliable: "
+            f"max |beta * delta_e| = {worst:.3g} > {DTH_VALIDITY_LIMIT}",
             stacklevel=2,
         )
-    free = decomp.free_part()
-    w = np.exp(-beta * (free - free.min()))
-    w /= w.sum()
     mean = w @ scaled
     return 0.5 * float(w @ np.abs(scaled - mean))
 
@@ -247,6 +238,5 @@ def perturbative_dent(r0, slope, lam: float) -> float:
     if np.any((r0[:, None] - r0[None, :] > DEGENERACY_TOL) & (r[:, None] <= r[None, :])):
         raise ValueError(f"level ordering violated at coupling {lam}; first order is invalid")
     _, pattern = infer_free_labeling(-np.log(r0))
-    q = np.exp(-_decompose(-np.log(r), pattern).free_part())
-    q /= q.sum()
+    q = boltzmann_weights(_decompose(-np.log(r), pattern).free_part(), 1.0)
     return 0.5 * float(np.abs(r - q).sum())

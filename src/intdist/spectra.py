@@ -14,7 +14,9 @@ import numpy as np
 from .fock import ManyBodyOperator, OccupationBasis, popcount
 
 MAX_DIM = 1 << 14
+#: Probabilities below this are clamped to 0; anything below its negative is an error.
 CLAMP_TOL = 1e-14
+#: How far a probability sum or a state norm may deviate from 1.
 NORM_TOL = 1e-10
 
 
@@ -39,8 +41,10 @@ class EigenSystem:
 class ProbabilitySpectrum:
     """Normalized, descending eigenvalue list of a density matrix.
 
-    Entries below 1e-14 are clamped to zero but retained, so the length
-    records the dimension of the underlying density matrix.
+    This is the package's one probability-vector rule: no entry may lie
+    below -CLAMP_TOL, entries below CLAMP_TOL are clamped to zero but
+    retained (the length records the dimension of the density matrix), and
+    the clamped entries must sum to 1 within NORM_TOL.
     """
 
     probs: np.ndarray
@@ -55,7 +59,7 @@ class ProbabilitySpectrum:
         p[p < CLAMP_TOL] = 0.0
         total = p.sum()
         if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            raise ValueError(f"not a normalized probability vector: sum={total}")
         p[::-1].sort()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -166,7 +170,7 @@ def reduced_density_spectrum(state, basis: OccupationBasis, region_a) -> Probabi
 
     Parameters
     ----------
-    state    : amplitude vector over basis.states, normalized within 1e-10.
+    state    : amplitude vector over basis.states, normalized within NORM_TOL.
     basis    : OccupationBasis the amplitudes refer to.
     region_a : iterable of mode indices kept after the partial trace.
     """

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -92,6 +93,21 @@ def test_entanglement_sweep(capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
     assert float(rows[0]["d_f"]) <= 1e-8
+
+
+def _entanglement_chain_sweep(n_sites):
+    return run_sweep(validate_config({
+        "model": {"type": "chain", "n_sites": n_sites}, "quantity": "entanglement",
+        "coupling_grid": {"min": 0.0, "max": 0.0, "steps": 1}, "optimizer": FAST_OPT}))
+
+
+def test_degenerate_ground_state_warns():
+    # free odd chains have a two-fold ground state (N and N + 1 particles)
+    with pytest.warns(UserWarning, match="degenerate ground state at v=0"):
+        _entanglement_chain_sweep(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _entanglement_chain_sweep(6)
 
 
 def test_chain_sweep_free_column(capsys):

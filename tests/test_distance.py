@@ -45,11 +45,14 @@ def test_trace_distance_sorting_matters():
 def test_trace_distance_zero_padding():
     assert trace_distance_sorted([1.0], [0.5, 0.5]) == pytest.approx(0.5)
     assert trace_distance_sorted([0.6, 0.4], [0.6, 0.4, 0.0, 0.0]) == 0.0
+    assert trace_distance_sorted([1.0, -1e-15], [1.0]) == 0.0  # clamped, as ProbabilitySpectrum
 
 
 def test_trace_distance_rejects_unnormalized():
     with pytest.raises(ValueError, match="not a normalized"):
         trace_distance_sorted([0.5, 0.6], [0.5, 0.5])
+    with pytest.raises(ValueError, match="not a normalized"):
+        trace_distance_sorted([1.0], [0.5, 0.5 + 5e-10])
 
 
 def test_trace_distance_metric_axioms():
@@ -132,12 +135,21 @@ def test_rejects_bad_beta_and_input():
         interaction_distance(rho, 2, 0.0)
     with pytest.raises(ValueError, match="not a normalized"):
         interaction_distance(np.array([0.7, 0.7]), 2, 1.0)
+    with pytest.raises(ValueError, match="not a normalized"):
+        interaction_distance(np.array([0.5, 0.5 + 5e-10]), 1, 1.0)
+
+
+def test_rejects_mode_count_beyond_cap():
+    # refused before the 2**35-entry target is allocated
+    with pytest.raises(ValueError, match="MAX_MODES=20"):
+        interaction_distance(np.array([1.0]), 35)
 
 
 def test_single_entry_spectrum_needs_no_modes():
     res = interaction_distance(np.array([1.0]), 0, 1.0)
     assert res.value == 0.0
     assert res.optimal_epsilons.size == 0
+    assert interaction_distance(np.array([1.0, -1e-15]), 1, 1.0, FAST).value <= 1e-12
 
 
 def test_zero_padding_leaves_value_unchanged():

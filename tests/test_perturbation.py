@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -220,8 +222,11 @@ def test_perturbative_dth_warns_outside_validity():
 
 def test_perturbative_dth_rejects_bad_beta():
     decomp = PerturbativeDecomposition(np.array([1.0]), np.zeros(2), np.arange(2), 0.0)
-    with pytest.raises(ValueError, match="beta"):
-        perturbative_dth(decomp, np.inf)
+    for beta in (np.inf, 0.0, -1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a bad beta raises before any numerical warning
+            with pytest.raises(ValueError, match="beta"):
+                perturbative_dth(decomp, beta)
 
 
 def test_dimer_first_order_rdm_matches_closed_form():

@@ -89,11 +89,14 @@ def test_probability_spectrum_sorts_and_clamps():
     spec = ProbabilitySpectrum([0.25, 0.75, -1e-16, 1e-16])
     np.testing.assert_allclose(spec.probs, [0.75, 0.25, 0.0, 0.0])
     assert len(spec) == 4
+    assert ProbabilitySpectrum([1.0, -1e-15]).probs.tolist() == [1.0, 0.0]
 
 
 def test_probability_spectrum_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum"):
         ProbabilitySpectrum([0.5, 0.6])
+    with pytest.raises(ValueError, match="not a normalized probability vector"):
+        ProbabilitySpectrum([0.5, 0.5 + 5e-10])
     with pytest.raises(ValueError, match="negative"):
         ProbabilitySpectrum([1.1, -0.1])
 
