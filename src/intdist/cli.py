@@ -80,7 +80,8 @@ class _Model:
 
     fields: dict                # config fields with their defaults (None: required)
     check: Callable             # params -> None; raises ConfigError
-    hamiltonian: Callable       # (params, v) -> ManyBodyOperator at coupling v
+    hamiltonian: Callable       # (params, v) -> ManyBodyOperator over the whole basis
+    sectors: Callable           # (params, v) -> one operator per particle number, ascending
     unit_interaction: Callable  # params -> interaction operator at v = 1
     thermal_modes: Callable     # params -> free modes fitted to a thermal spectrum
     region: Callable            # params -> modes on one side of the entanglement cut
@@ -93,6 +94,7 @@ _MODELS = {
         fields={"t": 1.0, "delta1": 1.0, "delta2": -1.0},
         check=_check_dimer,
         hamiltonian=lambda params, v: hubbard_dimer(DimerParams(**params, v=v))[0],
+        sectors=lambda params, v: [hubbard_dimer(DimerParams(**params, v=v))[0]],
         unit_interaction=lambda params: hubbard_dimer(DimerParams(**params, v=1.0))[1],
         thermal_modes=lambda params: 2,
         region=lambda params: DIMER_SITE1_MODES,
@@ -101,6 +103,8 @@ _MODELS = {
         fields={"n_sites": None, "hopping": 1.0, "potential": 0.0},
         check=_check_chain,
         hamiltonian=lambda params, v: spinless_chain(ChainParams(**params, interaction=v)),
+        sectors=lambda params, v: [spinless_chain(ChainParams(**params, interaction=v), n)
+                                   for n in range(params["n_sites"] + 1)],
         unit_interaction=lambda params: spinless_chain(ChainParams(
             params["n_sites"], hopping=0.0, potential=0.0, interaction=1.0)),
         thermal_modes=lambda params: params["n_sites"],
@@ -252,19 +256,26 @@ def _grid_points(cfg: dict):
 
 
 def _spectrum_at(cfg: dict, v: float, beta: float):
-    """Probability spectrum and free-mode count for one grid point."""
+    """Probability spectrum and free-mode count for one grid point.
+
+    Each particle-number sector is diagonalized on its own.  The entanglement
+    spectrum is that of the ground state of the lowest particle number whose
+    lowest level lies within DEGENERACY_TOL of the ground energy.
+    """
     spec, params = _configured_model(cfg)
-    hamiltonian = spec.hamiltonian(params, v)
+    sectors = spec.sectors(params, v)
+    levels = [exact_diagonalize(op, keep_vectors=False).energies for op in sectors]
+    energies = np.sort(np.concatenate(levels))
     if cfg["quantity"] == "thermal":
-        eig = exact_diagonalize(hamiltonian, keep_vectors=False)
-        return thermal_probabilities(eig.energies, beta), spec.thermal_modes(params)
-    eig = exact_diagonalize(hamiltonian)
-    gap = eig.energies[1] - eig.energies[0]
+        return thermal_probabilities(energies, beta), spec.thermal_modes(params)
+    gap = energies[1] - energies[0]
     if gap <= DEGENERACY_TOL:
         warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {gap:.3g}): the "
                       "entanglement spectrum is that of one of the ground states", stacklevel=2)
+    ground = next(op for op, e in zip(sectors, levels) if e[0] - energies[0] <= DEGENERACY_TOL)
     region = spec.region(params)
-    return reduced_density_spectrum(eig.vectors[:, 0], hamiltonian.basis, region), len(region)
+    state = exact_diagonalize(ground).vectors[:, 0]
+    return reduced_density_spectrum(state, ground.basis, region), len(region)
 
 
 def _sweep_point(cfg: dict, point) -> dict:

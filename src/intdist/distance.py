@@ -103,12 +103,17 @@ def _objective_factory(target_desc: np.ndarray, beta: float):
     target = np.sort(target_desc)  # ascending; zeros lead
 
     def objective(eps: np.ndarray) -> float:
-        levels = subset_sums(eps)
-        # boltzmann_weights inlined: an 8-mode fit makes ~44k calls, each would pay its validation
-        w = np.exp(-beta * (levels - levels.min()))
-        q = w / w.sum()
+        # boltzmann_weights inlined and worked in place on the fresh level array:
+        # an 8-mode fit makes ~44k calls, each would pay its validation and temporaries
+        q = subset_sums(eps)
+        q -= q.min()
+        q *= -beta
+        np.exp(q, out=q)
+        q /= q.sum()
         q.sort()
-        return 0.5 * float(np.abs(target - q).sum())
+        np.subtract(target, q, out=q)
+        np.abs(q, out=q)
+        return 0.5 * float(q.sum())
 
     return objective
 
@@ -132,7 +137,9 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     a greedy gap decomposition of the input spectrum, random perturbations
     of it, and uniform draws over the resolved level range.  Restart results
     merge by taking the minimum in restart order, so the outcome is
-    reproducible for a fixed seed.
+    reproducible for a fixed seed.  The search stops at the first start whose
+    objective is already at most FLOOR_TOL: D >= 0, so no descent can improve
+    on it by more than FLOOR_TOL.
     """
     probs = _as_probs(rho)
     if not np.isfinite(beta) or beta <= 0:
@@ -187,6 +194,9 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
             best_value, best_x, best_restart = v0, np.asarray(x0, float), k
             # a start is only "converged" when it already sits at the floor
             best_success, best_spread = v0 <= FLOOR_TOL, 0.0
+        if v0 <= FLOOR_TOL:  # D >= 0, so the best value so far is the global minimum
+            best_success = True
+            break
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"maxiter": opts.max_iter, "maxfev": 4 * opts.max_iter,
                                 "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})

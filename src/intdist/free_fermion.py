@@ -48,9 +48,11 @@ def subset_sums(epsilons) -> np.ndarray:
     eps = np.asarray(epsilons, dtype=float).ravel()
     if eps.size > MAX_MODES:
         raise ValueError(f"too many free modes ({eps.size} > {MAX_MODES})")
-    levels = np.zeros(1)
-    for e in eps:
-        levels = np.concatenate([levels, levels + e])
+    levels = np.zeros(1 << eps.size)
+    k = 1
+    for e in eps:  # doubling: the sums with mode j occupied follow those without
+        np.add(levels[:k], e, out=levels[k:2 * k])
+        k *= 2
     return levels
 
 

@@ -14,10 +14,12 @@ import numpy as np
 from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis, build_density_density,
                    build_quadratic, density_density_diagonal, symmetric_matrix)
 
-#: Longest chain the CLI and ChainParams accept.  The full-Fock-space
-#: Hamiltonian and the eigenvector matrix are each dense (2**n)^2 float64
-#: arrays: an n=13 entanglement sweep peaks at about 1.3 GB resident, and
-#: n=14 would need about 4.8 GB.
+#: Longest chain the CLI and ChainParams accept.  CLI sweeps build one
+#: particle-number sector at a time (an n=13 entanglement sweep point peaks at
+#: about 225 MB resident), but compare's first-order context, like
+#: spinless_chain without n_particles, builds the full-Fock-space Hamiltonian
+#: and its eigenvector matrix as dense (2**n)^2 float64 arrays: 512 MiB each
+#: at n=13, 2 GiB each at n=14.
 MAX_CHAIN_SITES = 13
 
 #: Modes of site 1 (up, down); the complement is site 2.  Mode layout:
@@ -133,8 +135,10 @@ class ChainParams:
         return np.diag(self.potential_vector()) - self.hopping_matrix()
 
 
-def spinless_chain(params: ChainParams) -> ManyBodyOperator:
-    """Full Fock-space Hamiltonian of an open spinless chain."""
-    basis = build_basis(params.n_sites)
+def spinless_chain(params: ChainParams, n_particles: int | None = None) -> ManyBodyOperator:
+    """Hamiltonian of an open spinless chain over its full Fock space, or over
+    the sector of ``n_particles`` particles when that is given."""
+    sector = None if n_particles is None else Sector(n_particles=n_particles)
+    basis = build_basis(params.n_sites, sector)
     v_diag = density_density_diagonal(basis, params.interaction_matrix())
     return build_quadratic(basis, params.kernel(), diagonal=v_diag)

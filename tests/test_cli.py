@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
-from intdist.cli import _FLAGS, main, render_csv, run_sweep, validate_config
-from intdist.models import DIMER_SITE1_MODES, DimerParams, hubbard_dimer
+import intdist.cli
+from intdist.cli import _FLAGS, _spectrum_at, main, render_csv, run_sweep, validate_config
+from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, hubbard_dimer,
+                            spinless_chain)
 from intdist.perturbation import first_order_reduced_density, perturbative_dent
-from intdist.spectra import exact_diagonalize
+from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 FAST_OPT = {"seed": 7, "restarts": 4, "max_iter": 2000}
 
@@ -108,6 +112,55 @@ def test_degenerate_ground_state_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _entanglement_chain_sweep(6)
+
+
+def _chain_cfg(n_sites, v, quantity):
+    return validate_config({"model": {"type": "chain", "n_sites": n_sites}, "quantity": quantity,
+                            "coupling_grid": {"min": v, "max": v, "steps": 1}})
+
+
+def _chain_point(n_sites, v, quantity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # free odd chains warn about their degenerate ground state
+        return _spectrum_at(_chain_cfg(n_sites, v, quantity), v, 1.0)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("v", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_sector_path_matches_full_space_bitwise(n, v):
+    op = spinless_chain(ChainParams(n_sites=n, interaction=v))
+    energies = exact_diagonalize(op, keep_vectors=False).energies
+    np.testing.assert_array_equal(_chain_point(n, v, "thermal").probs,
+                                  thermal_probabilities(energies, 1.0).probs)
+    ground = exact_diagonalize(op).vectors[:, 0]
+    reference = reduced_density_spectrum(ground, op.basis, tuple(range(n // 2)))
+    np.testing.assert_array_equal(_chain_point(n, v, "entanglement").probs, reference.probs)
+
+
+def test_degenerate_ground_state_takes_the_lowest_particle_number(monkeypatch):
+    # n=5, V=0: the N=2 and N=3 ground levels agree within DEGENERACY_TOL
+    with_vectors = []
+
+    def recording(op, keep_vectors=True):
+        if keep_vectors:
+            with_vectors.append(op.basis.sector.n_particles)
+        return exact_diagonalize(op, keep_vectors)
+
+    monkeypatch.setattr(intdist.cli, "exact_diagonalize", recording)
+    with pytest.warns(UserWarning, match="degenerate ground state at v=0"):
+        _spectrum_at(_chain_cfg(5, 0.0, "entanglement"), 0.0, 1.0)
+    assert with_vectors == [2]
+
+
+def test_entanglement_point_allocates_no_full_space_matrix():
+    cfg = _chain_cfg(12, 1.0, "entanglement")
+    tracemalloc.start()
+    try:
+        _spectrum_at(cfg, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # one dense 4096 x 4096 float64 matrix alone is 128 MiB
 
 
 def test_chain_sweep_free_column(capsys):
@@ -210,7 +263,8 @@ def test_config_rejects_chain_without_sites(capsys):
 
 
 def test_config_rejects_chain_beyond_site_cap(capsys):
-    # 14 sites would need two dense 2^14 x 2^14 matrices (about 4.8 GB peak)
+    # sweeps build sector matrices only, but compare's first-order context still
+    # builds the dense 2^n x 2^n operator, which holds the cap at 13
     code, _, err = _run(capsys, ["sweep", "--model", "chain", "--n-sites", "14"])
     assert code == 2
     assert "n_sites" in err and "13" in err

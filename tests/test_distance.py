@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from intdist.distance import (DistanceResult, OptimizerOptions, df_upper_bound,
-                              interaction_distance, trace_distance_sorted)
-from intdist.free_fermion import FreeSpectrumParams, free_probabilities
+from intdist.distance import (FLOOR_TOL, DistanceResult, OptimizerOptions, _objective_factory,
+                              df_upper_bound, interaction_distance, trace_distance_sorted)
+from intdist.free_fermion import FreeSpectrumParams, free_probabilities, subset_sums
 from intdist.models import DimerParams, hubbard_dimer
 from intdist.spectra import exact_diagonalize, thermal_probabilities
 
@@ -216,3 +216,32 @@ def test_options_validation():
         OptimizerOptions(restarts=0)
     with pytest.raises(ValueError):
         OptimizerOptions(max_iter=0)
+
+
+def test_objective_matches_allocating_expression_bitwise():
+    rng = np.random.default_rng(44)
+    for _ in range(2000):
+        n = int(rng.integers(0, 9))
+        beta = rng.uniform(0.1, 10.0)
+        target = np.sort(_random_probs(rng, 1 << n))[::-1]
+        eps = rng.uniform(-5.0, 5.0, n)
+        eps[rng.random(n) < 0.1] = 0.0
+        levels = subset_sums(eps)
+        w = np.exp(-beta * (levels - levels.min()))
+        q = w / w.sum()
+        q.sort()
+        expected = 0.5 * float(np.abs(np.sort(target) - q).sum())
+        assert _objective_factory(target, beta)(eps) == expected
+
+
+def test_start_at_the_floor_stops_the_search():
+    # a pure state: the greedy start parks both modes and already scores ~1e-20
+    res = interaction_distance(np.array([1.0, 0.0, 0.0, 0.0]), 2, 1.0)
+    info = res.optimizer_info
+    assert res.value <= FLOOR_TOL
+    np.testing.assert_array_equal(res.optimal_epsilons, [46.0, 46.0])
+    assert info["converged"] and info["total_iterations"] == 0 and info["best_restart"] == 0
+    assert info["restarts"] == OptimizerOptions().restarts
+    # the dimer free point: the greedy start is exact, so no simplex runs either
+    free = interaction_distance(_dimer_thermal(0.0), 2, 1.0)
+    assert free.value == 0.0 and free.optimizer_info["total_iterations"] == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intdist.fock import build_basis, build_quadratic
 from intdist.free_fermion import (FreeSpectrumParams, diagonalize_kernel,
@@ -62,6 +64,21 @@ def test_free_spectrum_degenerate_modes():
 def test_free_spectrum_mode_cap():
     with pytest.raises(ValueError, match="too many free modes"):
         subset_sums(np.ones(21))
+
+
+def _concatenated_subset_sums(epsilons):
+    # the straightforward construction: append the current sums shifted by each mode
+    levels = np.zeros(1)
+    for e in np.asarray(epsilons, dtype=float):
+        levels = np.concatenate([levels, levels + e])
+    return levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(-50.0, 50.0, allow_subnormal=False)), max_size=12))
+def test_subset_sums_match_concatenation_bitwise(eps):
+    assert subset_sums(eps).tobytes() == _concatenated_subset_sums(eps).tobytes()
 
 
 def test_params_canonical_ascending():
