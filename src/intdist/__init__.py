@@ -12,13 +12,11 @@ from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis,
                    build_density_density, build_quadratic, density_density_diagonal,
                    hopping_element)
 from .free_fermion import (FreeSpectrumParams, diagonalize_kernel,
-                           free_many_body_spectrum, free_partition_function,
-                           free_probabilities)
-from .models import (ChainParams, DimerParams, dimer_sector_basis,
-                     hubbard_dimer, hubbard_dimer_full, spinless_chain)
-from .perturbation import (PerturbativeDecomposition, first_order_energies,
-                           first_order_reduced_density, infer_free_labeling, perturbative_dent,
-                           perturbative_dth, perturbative_free_decomposition)
+                           free_many_body_spectrum, free_probabilities)
+from .models import ChainParams, DimerParams, dimer_sector_basis, hubbard_dimer, spinless_chain
+from .perturbation import (PerturbativeDecomposition, first_order_reduced_density,
+                           infer_free_labeling, perturbative_dent, perturbative_dth,
+                           perturbative_free_decomposition)
 from .spectra import (EigenSystem, ProbabilitySpectrum, exact_diagonalize,
                       reduced_density_spectrum, thermal_probabilities)
 
@@ -30,12 +28,12 @@ __all__ = [
     "build_density_density", "build_quadratic", "density_density_diagonal",
     "hopping_element",
     "FreeSpectrumParams", "diagonalize_kernel", "free_many_body_spectrum",
-    "free_partition_function", "free_probabilities",
+    "free_probabilities",
     "ChainParams", "DimerParams", "dimer_sector_basis", "hubbard_dimer",
-    "hubbard_dimer_full", "spinless_chain",
-    "PerturbativeDecomposition", "first_order_energies",
-    "first_order_reduced_density", "infer_free_labeling", "perturbative_dent",
-    "perturbative_dth", "perturbative_free_decomposition",
+    "spinless_chain",
+    "PerturbativeDecomposition", "first_order_reduced_density",
+    "infer_free_labeling", "perturbative_dent", "perturbative_dth",
+    "perturbative_free_decomposition",
     "EigenSystem", "ProbabilitySpectrum", "exact_diagonalize",
     "reduced_density_spectrum", "thermal_probabilities",
 ]

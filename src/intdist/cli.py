@@ -26,7 +26,8 @@ from .distance import OptimizerOptions, df_upper_bound, interaction_distance
 from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
                      hubbard_dimer, spinless_chain)
 from .perturbation import (DEGENERACY_TOL, first_order_reduced_density, infer_free_labeling,
-                           perturbative_dent, perturbative_dth, perturbative_free_decomposition)
+                           perturbative_dent, perturbative_dth, perturbative_free_decomposition,
+                           resolve_degeneracies)
 from .spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 EXIT_OK = 0
@@ -298,14 +299,20 @@ def _sweep_point(cfg: dict, point) -> dict:
 
 
 def _perturbative_context(cfg: dict):
-    """First-order data for compare rows: (eigensystem, labeling, unit interaction)
-    for thermal, (r0, slope) of the reduced density spectrum for entanglement."""
+    """The first-order data of a compare run that does not depend on the coupling.
+
+    Thermal: (unperturbed energies, first-order energy per unit coupling,
+    occupation pattern of each level).  Entanglement: (r0, slope) of the
+    ground state's reduced density spectrum.  Computed once per run; each
+    grid point only evaluates the closed form at its coupling.
+    """
     spec, params = _configured_model(cfg)
     eig = exact_diagonalize(spec.hamiltonian(params, 0.0))
     unit_v = spec.unit_interaction(params)
     if cfg["quantity"] == "entanglement":
         return first_order_reduced_density(eig, unit_v, spec.region(params))
-    return eig, infer_free_labeling(eig.energies)[1], unit_v
+    return (eig.energies, resolve_degeneracies(eig, unit_v)[0],
+            infer_free_labeling(eig.energies)[1])
 
 
 def _compare_point(cfg: dict, context, point) -> dict:
@@ -317,8 +324,8 @@ def _compare_point(cfg: dict, context, point) -> dict:
         except ValueError:
             pert = float("nan")
     else:
-        eig, pattern, unit_v = context
-        decomp = perturbative_free_decomposition(eig, pattern, unit_v, lam=v)
+        energies, slope, pattern = context
+        decomp = perturbative_free_decomposition(energies + v * slope, pattern)
         pert = perturbative_dth(decomp, row["beta"])
     row["exact"] = row.pop("d_f")
     row["perturbative"] = pert

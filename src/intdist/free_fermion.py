@@ -1,10 +1,11 @@
-"""Free-fermion spectra: kernel diagonalization and combinatorial generation.
+"""Free-fermion spectra: kernel diagonalization, combinatorial generation and
+greedy decomposition.
 
 A free system is fully described by a reference energy and the single
 particle energies of its quadratic kernel; the many-body spectrum is the set
-of all subset sums on top of the reference.  Thermal probabilities of such a
-spectrum factorize over the modes, which is used as an independent check of
-the brute-force route.
+of all subset sums on top of the reference.  The greedy subset-sum matcher
+recovers single-particle gaps from a level list: it seeds the fit and labels
+free spectra for perturbation theory.
 """
 
 from dataclasses import dataclass
@@ -59,15 +60,6 @@ def subset_sums(epsilons) -> np.ndarray:
 def free_many_body_spectrum(params: FreeSpectrumParams) -> np.ndarray:
     """Energies E_0 + sum_j eps_j n_j(k) for every occupation pattern k."""
     return params.e0 + subset_sums(params.epsilons)
-
-
-def free_partition_function(epsilons, beta: float) -> float:
-    """Factorized partition function prod_j (1 + exp(-beta eps_j)).
-
-    The reference energy is excluded; it cancels in any normalized quantity.
-    """
-    eps = np.asarray(epsilons, dtype=float).ravel()
-    return float(np.prod(1.0 + np.exp(-beta * eps)))
 
 
 def free_probabilities(params: FreeSpectrumParams, beta: float) -> ProbabilitySpectrum:

@@ -82,13 +82,6 @@ def hubbard_dimer(params: DimerParams = DimerParams()):
     return build_quadratic(basis, dimer_kernel(params), diagonal=v_op.matrix.diagonal()), v_op
 
 
-def hubbard_dimer_full(params: DimerParams = DimerParams()) -> ManyBodyOperator:
-    """Dimer Hamiltonian over the unrestricted 16-dimensional Fock space."""
-    basis = build_basis(4)
-    v_diag = density_density_diagonal(basis, dimer_interaction_matrix(params.v))
-    return build_quadratic(basis, dimer_kernel(params), diagonal=v_diag)
-
-
 @dataclass(frozen=True)
 class ChainParams:
     """Open spinless chain: hopping, on-site potentials, density interactions.

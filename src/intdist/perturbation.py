@@ -84,42 +84,26 @@ def resolve_degeneracies(h0_eigen: EigenSystem, v_op: ManyBodyOperator):
 
     Within each degenerate subspace of the unperturbed spectrum, the
     eigenvectors are rotated so the perturbation is diagonal there.  Returns
-    (coefficients, vectors) with coefficients ascending inside each
-    degenerate group.
+    (coefficients, vectors) in the unperturbed ordering, with states ordered
+    by ascending coefficient inside each degenerate group, so
+    ``h0_eigen.energies + lam * coefficients`` are the first-order energies.
     """
     if h0_eigen.vectors is None:
         raise ValueError("eigenvectors are required for perturbation theory")
     return _first_order_split(h0_eigen.energies, h0_eigen.vectors, v_op.matrix)
 
 
-def first_order_energies(h0_eigen: EigenSystem, v_op: ManyBodyOperator, lam: float) -> np.ndarray:
-    """Eigenvalues corrected to first order in the coupling.
-
-    Ordering follows the unperturbed labeling; inside a degenerate group the
-    states are ordered by ascending perturbation coefficient.
-    """
-    coeffs, _ = resolve_degeneracies(h0_eigen, v_op)
-    return h0_eigen.energies + lam * coeffs
-
-
 def _state_and_correction(h0_eigen: EigenSystem, v_op: ManyBodyOperator, k: int):
-    """Rotated eigenstate k and its first-order correction per unit coupling."""
+    """Rotated eigenstate k and its first-order correction per unit coupling.
+
+    The correction mixes in every state outside the degenerate group of k with
+    amplitude proportional to the coupling matrix element over the energy gap.
+    """
     _, vectors = resolve_degeneracies(h0_eigen, v_op)
     gaps = h0_eigen.energies[k] - h0_eigen.energies
     outside = np.abs(gaps) > DEGENERACY_TOL
     amps = vectors.T @ v_op.matrix @ vectors[:, k]
     return vectors[:, k], vectors[:, outside] @ (amps[outside] / gaps[outside])
-
-
-def first_order_eigenstate(h0_eigen: EigenSystem, v_op: ManyBodyOperator, lam: float,
-                           k: int) -> np.ndarray:
-    """Eigenstate k corrected to first order (not renormalized).
-
-    Mixes in every state outside the degenerate group of k with amplitude
-    proportional to the coupling matrix element over the energy gap.
-    """
-    psi, correction = _state_and_correction(h0_eigen, v_op, k)
-    return psi + lam * correction
 
 
 def infer_free_labeling(energies, tol: float = LABELING_TOL):
@@ -154,8 +138,16 @@ def infer_free_labeling(energies, tol: float = LABELING_TOL):
     return np.array(eps), pattern
 
 
-def _decompose(levels: np.ndarray, pattern) -> PerturbativeDecomposition:
-    """Pin mode energies by the vacuum and single-occupancy levels of a labeled spectrum."""
+def perturbative_free_decomposition(levels, pattern) -> PerturbativeDecomposition:
+    """Split first-order energies into shifted mode energies and residuals.
+
+    ``levels[k]`` is the first-order energy of the state labeled by the
+    occupation bitstring ``pattern[k]``.  The vacuum (pattern 0) and the
+    single-occupancy states pin the shifted single-particle energies,
+    measured from the perturbed vacuum; every remaining state's deviation
+    from the subset sum is its residual interaction energy.
+    """
+    levels = np.asarray(levels, dtype=float)
     pattern = np.asarray(pattern, dtype=np.int64)
     if pattern.shape != levels.shape:
         raise ValueError("pattern and spectrum sizes differ")
@@ -172,18 +164,6 @@ def _decompose(levels: np.ndarray, pattern) -> PerturbativeDecomposition:
     residual = (levels - e_vacuum) - subset_sums(eps)[pattern]
     residual[pins] = 0.0
     return PerturbativeDecomposition(eps, residual, pattern, float(e_vacuum))
-
-
-def perturbative_free_decomposition(h0_eigen: EigenSystem, pattern, v_op: ManyBodyOperator,
-                                    lam: float) -> PerturbativeDecomposition:
-    """Split first-order energies into shifted mode energies and residuals.
-
-    The vacuum (pattern 0) and the single-occupancy states pin the shifted
-    single-particle energies, measured from the perturbed vacuum; every
-    remaining state's deviation from the subset sum is its residual
-    interaction energy.
-    """
-    return _decompose(first_order_energies(h0_eigen, v_op, lam), pattern)
 
 
 def perturbative_dth(decomp: PerturbativeDecomposition, beta: float) -> float:
@@ -238,5 +218,6 @@ def perturbative_dent(r0, slope, lam: float) -> float:
     if np.any((r0[:, None] - r0[None, :] > DEGENERACY_TOL) & (r[:, None] <= r[None, :])):
         raise ValueError(f"level ordering violated at coupling {lam}; first order is invalid")
     _, pattern = infer_free_labeling(-np.log(r0))
-    q = boltzmann_weights(_decompose(-np.log(r), pattern).free_part(), 1.0)
+    free = perturbative_free_decomposition(-np.log(r), pattern).free_part()
+    q = boltzmann_weights(free, 1.0)
     return 0.5 * float(np.abs(r - q).sum())

@@ -48,7 +48,6 @@ class ProbabilitySpectrum:
     """
 
     probs: np.ndarray
-    origin: str = ""
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float).copy()
@@ -66,11 +65,6 @@ class ProbabilitySpectrum:
 
     def __len__(self):
         return self.probs.size
-
-    def entanglement_energies(self) -> np.ndarray:
-        """-log of the nonzero probabilities, ascending."""
-        nz = self.probs[self.probs > 0.0]
-        return -np.log(nz)
 
 
 def exact_diagonalize(op: ManyBodyOperator, keep_vectors: bool = True) -> EigenSystem:
@@ -118,8 +112,7 @@ def boltzmann_weights(energies, beta: float) -> np.ndarray:
 
 def thermal_probabilities(energies, beta: float) -> ProbabilitySpectrum:
     """Gibbs spectrum of an energy list at inverse temperature beta."""
-    p = boltzmann_weights(energies, beta)
-    return ProbabilitySpectrum(p, origin=f"thermal(beta={beta:g})")
+    return ProbabilitySpectrum(boltzmann_weights(energies, beta))
 
 
 def _bipartition_tables(basis: OccupationBasis, region_a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,5 +175,4 @@ def reduced_density_spectrum(state, basis: OccupationBasis, region_a) -> Probabi
     p = np.zeros(m.shape[0])
     p[: sv.size] = sv**2
     p /= p.sum()
-    tag = ",".join(str(x) for x in sorted(set(int(v) for v in region_a)))
-    return ProbabilitySpectrum(p, origin=f"entanglement(modes={tag})")
+    return ProbabilitySpectrum(p)

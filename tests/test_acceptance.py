@@ -21,7 +21,7 @@ from intdist.free_fermion import (FreeSpectrumParams, diagonalize_kernel,
 from intdist.models import DIMER_SITE1_MODES, DimerParams, dimer_sector_basis, hubbard_dimer
 from intdist.perturbation import (first_order_reduced_density, infer_free_labeling,
                                   perturbative_dent, perturbative_dth,
-                                  perturbative_free_decomposition)
+                                  perturbative_free_decomposition, resolve_degeneracies)
 from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 SQRT2 = np.sqrt(2.0)
@@ -78,11 +78,12 @@ def curves():
     unit_v = hubbard_dimer(DimerParams(v=1.0))[1]
     eig0 = exact_diagonalize(h0)
     _, pattern = infer_free_labeling(eig0.energies)
+    slope, _ = resolve_degeneracies(eig0, unit_v)
     pert = {}
     exact = {}
     for v in np.arange(0.05, 0.501, 0.05):
         v = round(float(v), 2)
-        decomp = perturbative_free_decomposition(eig0, pattern, unit_v, lam=v)
+        decomp = perturbative_free_decomposition(eig0.energies + v * slope, pattern)
         pert[v] = perturbative_dth(decomp, 1.0)
         exact[v] = dimer_thermal_distance(v, 1.0)
     data["pert_th"], data["exact_th"] = pert, exact
@@ -137,9 +138,10 @@ def test_criterion_03_perturbative_mode_energies():
     unit_v = hubbard_dimer(DimerParams(v=1.0))[1]
     eig0 = exact_diagonalize(h0)
     _, pattern = infer_free_labeling(eig0.energies)
+    slope, _ = resolve_degeneracies(eig0, unit_v)
     worst = 0.0
     for v in (0.1, 0.5, 1.0):
-        decomp = perturbative_free_decomposition(eig0, pattern, unit_v, lam=v)
+        decomp = perturbative_free_decomposition(eig0.energies + v * slope, pattern)
         expected = np.array([2 * SQRT2 - 3 * v / 4, 2 * SQRT2 - v / 4])
         worst = max(worst, np.abs(decomp.epsilons_tilde - expected).max())
     _report(3, "first-order shifted mode energies match the closed forms",

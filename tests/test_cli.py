@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import intdist.cli
-from intdist.cli import _FLAGS, _spectrum_at, main, render_csv, run_sweep, validate_config
+from intdist.cli import (_FLAGS, _spectrum_at, main, render_csv, run_compare, run_sweep,
+                         validate_config)
 from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, hubbard_dimer,
                             spinless_chain)
-from intdist.perturbation import first_order_reduced_density, perturbative_dent
+from intdist.perturbation import (first_order_reduced_density, perturbative_dent,
+                                  resolve_degeneracies)
 from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 FAST_OPT = {"seed": 7, "restarts": 4, "max_iter": 2000}
@@ -181,6 +183,23 @@ def test_compare_dimer_thermal(capsys):
     assert float(rows[0]["exact"]) <= 1e-10
     assert float(rows[0]["perturbative"]) <= 1e-10
     assert float(rows[1]["abs_diff"]) <= 0.005
+
+
+def test_compare_resolves_degeneracies_once_per_run(monkeypatch):
+    # the degenerate first-order split does not depend on the coupling or temperature
+    calls = []
+
+    def counting(h0_eigen, v_op):
+        calls.append(h0_eigen.energies.size)
+        return resolve_degeneracies(h0_eigen, v_op)
+
+    monkeypatch.setattr(intdist.cli, "resolve_degeneracies", counting)
+    cfg = validate_config({"model": {"type": "chain", "n_sites": 4}, "quantity": "thermal",
+                           "coupling_grid": {"min": 0.0, "max": 0.5, "steps": 3},
+                           "temperature_grid": {"min": 0.5, "max": 2.0, "steps": 2},
+                           "optimizer": FAST_OPT})
+    assert len(run_compare(cfg)) == 6
+    assert calls == [16]
 
 
 def test_compare_dimer_entanglement(capsys):

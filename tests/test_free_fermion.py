@@ -5,11 +5,19 @@ from hypothesis import strategies as st
 
 from intdist.fock import build_basis, build_quadratic
 from intdist.free_fermion import (FreeSpectrumParams, diagonalize_kernel,
-                                  free_many_body_spectrum, free_partition_function,
-                                  free_probabilities, greedy_single_particle_gaps,
-                                  subset_sums)
+                                  free_many_body_spectrum, free_probabilities,
+                                  greedy_single_particle_gaps, subset_sums)
 
 SQRT2 = np.sqrt(2.0)
+
+
+def free_partition_function(epsilons, beta: float) -> float:
+    """Factorized partition function prod_j (1 + exp(-beta eps_j)).
+
+    The cross-check of the brute-force sum over the 2^N subset sums; the
+    reference energy is excluded, as it cancels in any normalized quantity.
+    """
+    return float(np.prod(1.0 + np.exp(-beta * np.asarray(epsilons, dtype=float))))
 
 
 def _random_symmetric(rng, n):

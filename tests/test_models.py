@@ -2,14 +2,24 @@ import numpy as np
 import pytest
 
 from intdist.distance import OptimizerOptions, interaction_distance
-from intdist.fock import Sector, build_quadratic
+from intdist.fock import Sector, build_basis, build_quadratic, density_density_diagonal
 from intdist.free_fermion import FreeSpectrumParams, diagonalize_kernel, free_many_body_spectrum
-from intdist.models import (ChainParams, DimerParams, dimer_sector_basis, hubbard_dimer,
-                            hubbard_dimer_full, spinless_chain)
+from intdist.models import (ChainParams, DimerParams, dimer_interaction_matrix, dimer_kernel,
+                            dimer_sector_basis, hubbard_dimer, spinless_chain)
 from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 SQRT2 = np.sqrt(2.0)
 FAST = OptimizerOptions(restarts=6)
+
+
+def hubbard_dimer_full(params: DimerParams = DimerParams()):
+    """Dimer Hamiltonian over the unrestricted 16-dimensional Fock space.
+
+    The cross-check of the S_z = 0 sector that ``hubbard_dimer`` builds directly.
+    """
+    basis = build_basis(4)
+    v_diag = density_density_diagonal(basis, dimer_interaction_matrix(params.v))
+    return build_quadratic(basis, dimer_kernel(params), diagonal=v_diag)
 
 
 def test_dimer_free_point_spectrum():

