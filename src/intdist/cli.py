@@ -25,9 +25,9 @@ from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
 from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
                      hubbard_dimer, spinless_chain)
-from .perturbation import (DEGENERACY_TOL, first_order_reduced_density, infer_free_labeling,
-                           perturbative_dent, perturbative_dth, perturbative_free_decomposition,
-                           resolve_degeneracies)
+from .perturbation import (DEGENERACY_TOL, degenerate_groups, first_order_reduced_density,
+                           infer_free_labeling, perturbative_dent, perturbative_dth,
+                           perturbative_free_decomposition, resolve_degeneracies)
 from .spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 EXIT_OK = 0
@@ -81,11 +81,10 @@ class _Model:
 
     fields: dict                # config fields with their defaults (None: required)
     check: Callable             # params -> None; raises ConfigError
-    hamiltonian: Callable       # (params, v) -> ManyBodyOperator over the whole basis
-    sectors: Callable           # (params, v) -> one operator per particle number, ascending
-    unit_interaction: Callable  # params -> interaction operator at v = 1
-    thermal_modes: Callable     # params -> free modes fitted to a thermal spectrum
-    region: Callable            # params -> modes on one side of the entanglement cut
+    sectors: Callable            # (params, v) -> one operator per particle number, ascending
+    unit_interactions: Callable  # params -> the interaction at v = 1, one operator per sector
+    thermal_modes: Callable      # params -> free modes fitted to a thermal spectrum
+    region: Callable             # params -> modes on one side of the entanglement cut
 
 
 # The builders look the model functions up at call time, so wrappers installed
@@ -94,20 +93,18 @@ _MODELS = {
     "dimer": _Model(
         fields={"t": 1.0, "delta1": 1.0, "delta2": -1.0},
         check=_check_dimer,
-        hamiltonian=lambda params, v: hubbard_dimer(DimerParams(**params, v=v))[0],
         sectors=lambda params, v: [hubbard_dimer(DimerParams(**params, v=v))[0]],
-        unit_interaction=lambda params: hubbard_dimer(DimerParams(**params, v=1.0))[1],
+        unit_interactions=lambda params: [hubbard_dimer(DimerParams(**params, v=1.0))[1]],
         thermal_modes=lambda params: 2,
         region=lambda params: DIMER_SITE1_MODES,
     ),
     "chain": _Model(
         fields={"n_sites": None, "hopping": 1.0, "potential": 0.0},
         check=_check_chain,
-        hamiltonian=lambda params, v: spinless_chain(ChainParams(**params, interaction=v)),
         sectors=lambda params, v: [spinless_chain(ChainParams(**params, interaction=v), n)
                                    for n in range(params["n_sites"] + 1)],
-        unit_interaction=lambda params: spinless_chain(ChainParams(
-            params["n_sites"], hopping=0.0, potential=0.0, interaction=1.0)),
+        unit_interactions=lambda params: _MODELS["chain"].sectors(
+            {**params, "hopping": 0.0, "potential": 0.0}, 1.0),
         thermal_modes=lambda params: params["n_sites"],
         region=lambda params: tuple(range(max(1, params["n_sites"] // 2))),
     ),
@@ -256,6 +253,12 @@ def _grid_points(cfg: dict):
     return [(float(v), float(beta), 1.0 / float(beta)) for v in couplings]
 
 
+def _ground_sector(levels) -> int:
+    """Index of the first sector whose lowest level is within DEGENERACY_TOL of the ground."""
+    e0 = min(e[0] for e in levels)
+    return next(k for k, e in enumerate(levels) if e[0] - e0 <= DEGENERACY_TOL)
+
+
 def _spectrum_at(cfg: dict, v: float, beta: float):
     """Probability spectrum and free-mode count for one grid point.
 
@@ -273,7 +276,7 @@ def _spectrum_at(cfg: dict, v: float, beta: float):
     if gap <= DEGENERACY_TOL:
         warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {gap:.3g}): the "
                       "entanglement spectrum is that of one of the ground states", stacklevel=2)
-    ground = next(op for op, e in zip(sectors, levels) if e[0] - energies[0] <= DEGENERACY_TOL)
+    ground = sectors[_ground_sector(levels)]
     region = spec.region(params)
     state = exact_diagonalize(ground).vectors[:, 0]
     return reduced_density_spectrum(state, ground.basis, region), len(region)
@@ -303,16 +306,24 @@ def _perturbative_context(cfg: dict):
 
     Thermal: (unperturbed energies, first-order energy per unit coupling,
     occupation pattern of each level).  Entanglement: (r0, slope) of the
-    ground state's reduced density spectrum.  Computed once per run; each
-    grid point only evaluates the closed form at its coupling.
+    ground state's reduced density spectrum.  Computed once per run, sector by
+    sector; each grid point only evaluates the closed form at its coupling.
     """
     spec, params = _configured_model(cfg)
-    eig = exact_diagonalize(spec.hamiltonian(params, 0.0))
-    unit_v = spec.unit_interaction(params)
+    eigs = [exact_diagonalize(op) for op in spec.sectors(params, 0.0)]
+    units = spec.unit_interactions(params)
     if cfg["quantity"] == "entanglement":
-        return first_order_reduced_density(eig, unit_v, spec.region(params))
-    return (eig.energies, resolve_degeneracies(eig, unit_v)[0],
-            infer_free_labeling(eig.energies)[1])
+        k = _ground_sector([eig.energies for eig in eigs])
+        return first_order_reduced_density(eigs[k], units[k], spec.region(params))
+    slopes = [resolve_degeneracies(eig, unit)[0] for eig, unit in zip(eigs, units)]
+    energies = np.concatenate([eig.energies for eig in eigs])
+    order = np.argsort(energies, kind="stable")
+    energies, slope = energies[order], np.concatenate(slopes)[order]
+    # the interaction conserves particle number, so a degenerate level splits into
+    # the union of its sectors' splits, ascending as resolve_degeneracies orders it
+    for group in degenerate_groups(energies):
+        slope[group].sort()
+    return energies, slope, infer_free_labeling(energies)[1]
 
 
 def _compare_point(cfg: dict, context, point) -> dict:

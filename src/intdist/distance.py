@@ -55,8 +55,7 @@ class DistanceResult:
 
     optimal_epsilons are canonicalized: sign-flipped modes are equivalent
     under filled/empty relabeling (the reference energy absorbs the shift),
-    so the absolute values are reported in ascending order; the raw
-    minimizer is kept in optimizer_info["raw_epsilons"].
+    so the absolute values are reported in ascending order.
     """
 
     value: float
@@ -163,9 +162,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     if n_free_modes == 0:
         value = objective(np.zeros(0))
         return DistanceResult(value, np.zeros(0), {
-            "converged": True, "restarts": 0, "total_iterations": 0,
-            "best_restart": -1, "raw_epsilons": [], "final_simplex_size": 0.0,
-        })
+            "converged": True, "restarts": 0, "total_iterations": 0})
 
     levels = _pseudo_levels(probs, beta)
     top = levels[-1] if levels.size else 0.0
@@ -184,16 +181,14 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
 
     best_value = np.inf
     best_x = starts[0]
-    best_restart = -1
     best_success = False
-    best_spread = np.inf
     total_iterations = 0
-    for k, x0 in enumerate(starts):
+    for x0 in starts:
         v0 = objective(x0)
         if v0 < best_value:
-            best_value, best_x, best_restart = v0, np.asarray(x0, float), k
+            best_value, best_x = v0, np.asarray(x0, float)
             # a start is only "converged" when it already sits at the floor
-            best_success, best_spread = v0 <= FLOOR_TOL, 0.0
+            best_success = v0 <= FLOOR_TOL
         if v0 <= FLOOR_TOL:  # D >= 0, so the best value so far is the global minimum
             best_success = True
             break
@@ -202,17 +197,9 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
                                 "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
         total_iterations += int(res.nit)
         if res.fun < best_value:
-            best_value, best_x, best_restart = float(res.fun), res.x, k
+            best_value, best_x = float(res.fun), res.x
             best_success = bool(res.success)
-            best_spread = float(np.ptp(res.final_simplex[1]))
 
-    canonical = np.sort(np.abs(best_x))
-    info = {
-        "converged": best_success,
-        "restarts": opts.restarts,
-        "total_iterations": total_iterations,
-        "best_restart": best_restart,
-        "raw_epsilons": [float(x) for x in np.atleast_1d(best_x)],
-        "final_simplex_size": best_spread,
-    }
-    return DistanceResult(float(best_value), canonical, info)
+    return DistanceResult(float(best_value), np.sort(np.abs(best_x)), {
+        "converged": best_success, "restarts": opts.restarts,
+        "total_iterations": total_iterations})

@@ -13,14 +13,11 @@ import numpy as np
 
 from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis, build_density_density,
                    build_quadratic, density_density_diagonal, symmetric_matrix)
+from .spectra import MAX_DIM
 
-#: Longest chain the CLI and ChainParams accept.  CLI sweeps build one
-#: particle-number sector at a time (an n=13 entanglement sweep point peaks at
-#: about 225 MB resident), but compare's first-order context, like
-#: spinless_chain without n_particles, builds the full-Fock-space Hamiltonian
-#: and its eigenvector matrix as dense (2**n)^2 float64 arrays: 512 MiB each
-#: at n=13, 2 GiB each at n=14.
-MAX_CHAIN_SITES = 13
+#: Longest chain the CLI and ChainParams accept: the largest whose Fock space
+#: fits the exact-diagonalization cap.
+MAX_CHAIN_SITES = MAX_DIM.bit_length() - 1
 
 #: Modes of site 1 (up, down); the complement is site 2.  Mode layout:
 #: 0 = site-1 up, 1 = site-1 down, 2 = site-2 up, 3 = site-2 down.

@@ -61,6 +61,12 @@ class PerturbativeDecomposition:
         return subset_sums(self.epsilons_tilde)[self.pattern]
 
 
+def degenerate_groups(values) -> list:
+    """Slices of the ascending ``values``: runs whose neighbours lie within DEGENERACY_TOL."""
+    cuts = (np.flatnonzero(np.diff(values) > DEGENERACY_TOL) + 1).tolist()
+    return list(map(slice, [0] + cuts, cuts + [len(values)]))
+
+
 def _first_order_split(values, vectors, pert_matrix):
     """One degenerate first-order step for the ascending eigenvalues ``values``.
 
@@ -71,8 +77,7 @@ def _first_order_split(values, vectors, pert_matrix):
     """
     vectors = np.array(vectors)
     coeffs = np.empty(values.size)
-    cuts = (np.flatnonzero(np.diff(values) > DEGENERACY_TOL) + 1).tolist()
-    for grp in map(slice, [0] + cuts, cuts + [values.size]):
+    for grp in degenerate_groups(values):
         x = vectors[:, grp]
         coeffs[grp], w = np.linalg.eigh(x.T @ pert_matrix @ x)
         vectors[:, grp] = x @ w

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import intdist.cli
-from intdist.cli import (_FLAGS, _spectrum_at, main, render_csv, run_compare, run_sweep,
-                         validate_config)
+from intdist.cli import (_FLAGS, _perturbative_context, _spectrum_at, main, render_csv,
+                         run_compare, run_sweep, validate_config)
 from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, hubbard_dimer,
                             spinless_chain)
-from intdist.perturbation import (first_order_reduced_density, perturbative_dent,
-                                  resolve_degeneracies)
+from intdist.perturbation import (first_order_reduced_density, infer_free_labeling,
+                                  perturbative_dent, resolve_degeneracies)
 from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 FAST_OPT = {"seed": 7, "restarts": 4, "max_iter": 2000}
@@ -186,7 +186,8 @@ def test_compare_dimer_thermal(capsys):
 
 
 def test_compare_resolves_degeneracies_once_per_run(monkeypatch):
-    # the degenerate first-order split does not depend on the coupling or temperature
+    # the degenerate first-order split does not depend on the coupling or temperature;
+    # it runs once per particle-number sector, whose sizes are C(4, N)
     calls = []
 
     def counting(h0_eigen, v_op):
@@ -199,7 +200,20 @@ def test_compare_resolves_degeneracies_once_per_run(monkeypatch):
                            "temperature_grid": {"min": 0.5, "max": 2.0, "steps": 2},
                            "optimizer": FAST_OPT})
     assert len(run_compare(cfg)) == 6
-    assert calls == [16]
+    assert calls == [1, 4, 6, 4, 1]
+
+
+@pytest.mark.parametrize("n, potential", [(n, 0.0) for n in range(2, 11)]
+                         + [(6, [0.3, -0.2, 0.0, 0.5, -0.4, 0.1])])
+def test_sector_context_matches_full_space_split(n, potential):
+    cfg = validate_config({"model": {"type": "chain", "n_sites": n, "potential": potential},
+                           "quantity": "thermal"})
+    energies, slope, pattern = _perturbative_context(cfg)
+    eig = exact_diagonalize(spinless_chain(ChainParams(n_sites=n, potential=potential)))
+    unit_v = spinless_chain(ChainParams(n_sites=n, hopping=0.0, potential=0.0, interaction=1.0))
+    np.testing.assert_array_equal(energies, eig.energies)
+    np.testing.assert_array_equal(pattern, infer_free_labeling(eig.energies)[1])
+    np.testing.assert_allclose(slope, resolve_degeneracies(eig, unit_v)[0], rtol=0, atol=1e-13)
 
 
 def test_compare_dimer_entanglement(capsys):
@@ -282,11 +296,10 @@ def test_config_rejects_chain_without_sites(capsys):
 
 
 def test_config_rejects_chain_beyond_site_cap(capsys):
-    # sweeps build sector matrices only, but compare's first-order context still
-    # builds the dense 2^n x 2^n operator, which holds the cap at 13
-    code, _, err = _run(capsys, ["sweep", "--model", "chain", "--n-sites", "14"])
+    # the cap is the largest chain whose Fock space fits spectra.MAX_DIM
+    code, _, err = _run(capsys, ["sweep", "--model", "chain", "--n-sites", "15"])
     assert code == 2
-    assert "n_sites" in err and "13" in err
+    assert "n_sites" in err and "14" in err
 
 
 # config file -> the field its error message must name

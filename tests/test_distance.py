@@ -179,8 +179,7 @@ def test_deterministic_for_fixed_seed():
 def test_optimizer_info_fields():
     res = interaction_distance(_dimer_thermal(0.5), 2, 1.0, FAST)
     info = res.optimizer_info
-    assert set(info) >= {"converged", "restarts", "total_iterations", "best_restart",
-                         "raw_epsilons", "final_simplex_size"}
+    assert set(info) == {"converged", "restarts", "total_iterations"}
     assert info["restarts"] == 6
     assert isinstance(res, DistanceResult)
 
@@ -240,7 +239,7 @@ def test_start_at_the_floor_stops_the_search():
     info = res.optimizer_info
     assert res.value <= FLOOR_TOL
     np.testing.assert_array_equal(res.optimal_epsilons, [46.0, 46.0])
-    assert info["converged"] and info["total_iterations"] == 0 and info["best_restart"] == 0
+    assert info["converged"] and info["total_iterations"] == 0
     assert info["restarts"] == OptimizerOptions().restarts
     # the dimer free point: the greedy start is exact, so no simplex runs either
     free = interaction_distance(_dimer_thermal(0.0), 2, 1.0)
