@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 import warnings
@@ -49,7 +48,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+    """An int or float that converts to a finite float."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 # ------------------------------------------------------------------- models
@@ -67,7 +67,7 @@ def _check_chain(params: dict):
     for key, build in (("hopping", chain.hopping_matrix), ("potential", chain.potential_vector)):
         try:
             finite = not isinstance(params[key], bool) and bool(np.isfinite(build()).all())
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"model.{key} is invalid: {exc}") from exc
         _require(finite, f"model.{key} must be a finite number or array")
 
@@ -159,15 +159,11 @@ def _grid_values(spec, name: str) -> np.ndarray:
     _require(isinstance(spec, dict), f"{name} must be an object with min/max/steps")
     unknown = set(spec) - {"min", "max", "steps"}
     _require(not unknown, f"{name} has unknown fields {sorted(unknown)}")
-    malformed = f"{name} requires numeric min/max and integer steps"
-    _require(not any(isinstance(value, bool) for value in spec.values()), malformed)
-    try:
-        lo, hi, steps = float(spec["min"]), float(spec["max"]), spec["steps"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(malformed) from exc
-    _require(_is_int(steps), malformed)
-    _require(math.isfinite(lo), f"{name}.min must be finite")
-    _require(math.isfinite(hi), f"{name}.max must be finite")
+    _require(set(spec) == {"min", "max", "steps"} and _is_int(spec["steps"]),
+             f"{name} requires numeric min/max and integer steps")
+    for key in ("min", "max"):
+        _require(_is_number(spec[key]), f"{name}.{key} must be a finite number")
+    lo, hi, steps = float(spec["min"]), float(spec["max"]), spec["steps"]
     _require(steps >= 1, f"{name}.steps must be >= 1")
     _require(lo <= hi, f"{name}.min must not exceed {name}.max")
     if steps == 1:
@@ -202,7 +198,8 @@ def validate_config(raw: dict) -> dict:
     if quantity == "entanglement":
         _require(not has_tgrid, "temperature_grid is not applicable to quantity=entanglement")
         beta = cfg.get("beta", 1.0)
-        _require(beta == 1.0, "beta must be 1 (or omitted) for quantity=entanglement")
+        _require(_is_number(beta) and beta == 1.0,
+                 "beta must be 1 (or omitted) for quantity=entanglement")
         cfg["beta"] = 1.0
         # a one-site chain has no bipartition
         _require(model.get("n_sites", 2) >= 2,

@@ -75,38 +75,41 @@ def match_tolerance(levels, rtol: float) -> float:
 def _greedy_match(levels, n_modes: int, rtol: float):
     """Greedy subset-sum matching of ascending levels measured from their lowest entry.
 
-    Returns (gaps, labels, unmatched): up to n_modes gaps (fewer once no level
-    is left over), the (sum, occupation bitstring) of every subset of them,
-    and how many sums matched no level within match_tolerance(levels, rtol).
+    Each round merges the ascending sums of the gaps so far into the levels with
+    one pointer: a sum claims the lowest unclaimed level within match_tolerance,
+    and the lowest level left unclaimed becomes the next gap.  Returns (gaps,
+    subset_sums(gaps), unmatched): up to n_modes gaps, fewer once every level is
+    claimed, and how many sums matched no level.
     """
     atol = match_tolerance(levels, rtol)
-    gaps, labels, unmatched = [], [(0.0, 0)], 0
-    for j in range(n_modes):
-        remaining = list(levels)
-        for s, _ in sorted(labels):
-            for idx, val in enumerate(remaining):
-                if abs(val - s) <= atol:
-                    del remaining[idx]
-                    break
-            else:
-                unmatched += 1
-        if not remaining:
+    lv, n = levels.tolist(), levels.size
+    gaps, unmatched = [], 0
+    for _ in range(n_modes):
+        p, first = 0, n
+        for s in np.sort(subset_sums(gaps)).tolist():
+            # a level below this sum's window is below every later sum's too
+            while p < n and lv[p] - s < -atol:
+                first = min(first, p)
+                p += 1
+            matched = p < n and lv[p] - s <= atol
+            p += matched
+            unmatched += not matched
+        first = min(first, p)
+        if first == n:
             break
-        e = remaining[0]
-        gaps.append(e)
-        labels += [(s + e, pat | (1 << j)) for s, pat in labels]
-    return gaps, labels, unmatched
+        gaps.append(lv[first])
+    return gaps, subset_sums(gaps), unmatched
 
 
 def greedy_single_particle_gaps(levels, n_modes: int, filler: float = None) -> np.ndarray:
     """Greedy decomposition of a level list into n_modes single-particle gaps.
 
-    The lowest level is taken as the reference; repeatedly, every sum of the
-    gaps found so far is matched against the remaining levels and the
-    smallest unexplained level becomes the next gap.  Exact for a spectrum
-    with the free subset-sum structure; a heuristic otherwise.  Modes the
-    level list cannot resolve are assigned ``filler`` (default: one above the
-    top level) so they carry negligible weight.
+    The lowest level is taken as the reference; repeatedly, each ascending sum
+    of the gaps found so far claims the lowest unclaimed level within
+    GREEDY_MATCH_TOL, and the lowest level left unclaimed becomes the next gap.
+    Exact for a spectrum with the free subset-sum structure; a heuristic
+    otherwise.  Modes the level list cannot resolve are assigned ``filler``
+    (default: one above the top level) so they carry negligible weight.
     """
     lv = np.sort(np.asarray(levels, dtype=float).ravel())
     lv = lv[np.isfinite(lv)]

@@ -121,6 +121,8 @@ def infer_free_labeling(energies, tol: float = LABELING_TOL):
     equal-energy states take patterns in ascending bitstring order.
     """
     lv = np.asarray(energies, dtype=float).ravel()
+    if lv.size == 0:
+        raise ValueError("energies must not be empty")
     if np.any(np.diff(lv) < -tol):
         raise ValueError("energies must be ascending")
     n_states = lv.size
@@ -128,18 +130,14 @@ def infer_free_labeling(energies, tol: float = LABELING_TOL):
     if 1 << n_modes != n_states:
         raise ValueError(f"spectrum size {n_states} is not a power of two")
     shifted = lv - lv[0]
-    eps, labeled, unmatched = _greedy_match(shifted, n_modes, tol)
+    eps, sums, unmatched = _greedy_match(shifted, n_modes, tol)
     if unmatched or len(eps) < n_modes:
         raise ValueError("spectrum admits no free labeling within tolerance")
-    labeled.sort()
-    atol = match_tolerance(shifted, tol)
-    pattern = np.empty(n_states, dtype=np.int64)
-    for idx, (value, pat) in enumerate(labeled):
-        if abs(value - shifted[idx]) > atol:
-            raise ValueError(
-                f"level {idx} deviates from the free reconstruction by {abs(value - shifted[idx]):.2e}"
-            )
-        pattern[idx] = pat
+    pattern = np.argsort(sums, kind="stable")
+    dev = np.abs(sums[pattern] - shifted)
+    bad = np.flatnonzero(dev > match_tolerance(shifted, tol))
+    if bad.size:
+        raise ValueError(f"level {bad[0]} deviates from the free reconstruction by {dev[bad[0]]:.2e}")
     return np.array(eps), pattern
 
 

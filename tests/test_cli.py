@@ -319,6 +319,16 @@ _CONFIG_FILE_ERRORS = [
     ({"coupling_grid": {"min": 0, "max": "inf", "steps": 2}}, "coupling_grid.max"),
     ({"coupling_grid": {"min": 0, "max": 1, "steps": True}}, "coupling_grid"),
     ({"temperature_grid": {"min": 0.5, "max": "inf", "steps": 2}}, "temperature_grid.max"),
+    # numeric strings, booleans and integers beyond the float range are not numbers
+    ({"coupling_grid": {"min": "0", "max": "1e0", "steps": 2}}, "coupling_grid.min"),
+    ({"coupling_grid": {"min": 0, "max": "1e0", "steps": 2}},
+     "coupling_grid.max must be a finite number"),
+    ({"temperature_grid": {"min": "0.5", "max": 1, "steps": 2}}, "temperature_grid.min"),
+    ({"coupling_grid": {"min": 0, "max": 10**400, "steps": 2}},
+     "config error: coupling_grid.max"),
+    ({"model": {"type": "dimer", "t": 10**400}}, "model.t must be a number"),
+    ({"model": {"type": "chain", "n_sites": 3, "potential": 10**400}}, "model.potential is invalid"),
+    ({"quantity": "entanglement", "beta": True}, "beta"),
     # fractional steps: the whole message, since the field alone repeats an id above
     ({"coupling_grid": {"min": 0, "max": 1, "steps": 2.7}},
      "coupling_grid requires numeric min/max and integer steps"),

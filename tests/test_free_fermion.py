@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdist.fock import build_basis, build_quadratic
-from intdist.free_fermion import (FreeSpectrumParams, diagonalize_kernel,
-                                  free_many_body_spectrum, free_probabilities,
-                                  greedy_single_particle_gaps, subset_sums)
+from intdist.free_fermion import (GREEDY_MATCH_TOL, FreeSpectrumParams, _greedy_match,
+                                  diagonalize_kernel, free_many_body_spectrum,
+                                  free_probabilities, greedy_single_particle_gaps,
+                                  match_tolerance, subset_sums)
+from intdist.models import ChainParams, spinless_chain
+from intdist.perturbation import LABELING_TOL, infer_free_labeling
+from intdist.spectra import exact_diagonalize
 
 SQRT2 = np.sqrt(2.0)
 
@@ -187,3 +191,115 @@ def test_greedy_gap_decomposition_fills_unresolved_modes():
     got = greedy_single_particle_gaps([0.0, 1.0], 3, filler=99.0)
     assert got[0] == pytest.approx(1.0)
     assert (got[1:] == 99.0).all()
+
+
+def _list_scan_match(levels, n_modes, rtol):
+    """Reference matcher: every (sum, pattern) pair scans a Python list of the levels.
+
+    The merge in ``_greedy_match`` must reproduce it bitwise: each sum, in
+    ascending (sum, pattern) order, removes the first remaining level within
+    tolerance, and the first level left over becomes the next gap.
+    """
+    atol = match_tolerance(levels, rtol)
+    gaps, labels, unmatched = [], [(0.0, 0)], 0
+    for j in range(n_modes):
+        remaining = list(levels)
+        for s, _ in sorted(labels):
+            for idx, val in enumerate(remaining):
+                if abs(val - s) <= atol:
+                    del remaining[idx]
+                    break
+            else:
+                unmatched += 1
+        if not remaining:
+            break
+        e = remaining[0]
+        gaps.append(e)
+        labels += [(s + e, pat | (1 << j)) for s, pat in labels]
+    return gaps, labels, unmatched
+
+
+def _list_scan_labeling(energies, tol=LABELING_TOL):
+    """Reference labeling built on _list_scan_match, for inputs past the size and order checks."""
+    shifted = energies - energies[0]
+    n_modes = shifted.size.bit_length() - 1
+    eps, labels, unmatched = _list_scan_match(shifted, n_modes, tol)
+    if unmatched or len(eps) < n_modes:
+        raise ValueError("spectrum admits no free labeling within tolerance")
+    atol = match_tolerance(shifted, tol)
+    for idx, (value, _) in enumerate(sorted(labels)):
+        if abs(value - shifted[idx]) > atol:
+            raise ValueError(f"level {idx} deviates from the free reconstruction by "
+                             f"{abs(value - shifted[idx]):.2e}")
+    return np.array(eps), np.array([pat for _, pat in sorted(labels)])
+
+
+@st.composite
+def _free_like_spectra(draw, truncate=True):
+    """Ascending spectra of 0-8 modes: free, perturbed, truncated or rounded to degeneracy."""
+    eps = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 5.0)),
+                        max_size=8))
+    levels = np.sort(draw(st.floats(-3.0, 3.0)) + subset_sums(eps))
+    kind = draw(st.sampled_from(["free", "perturbed", "truncated", "rounded"]))
+    if kind == "perturbed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        levels = np.sort(levels + rng.standard_normal(levels.size) * 10.0 ** draw(st.integers(-12, -1)))
+    elif kind == "truncated" and truncate:
+        levels = levels[:draw(st.integers(1, levels.size))]
+    elif kind == "rounded":
+        levels = np.sort(np.round(levels, draw(st.integers(0, 3))))
+    return levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_free_like_spectra(), st.integers(0, 9), st.sampled_from([GREEDY_MATCH_TOL, LABELING_TOL]))
+# a level exactly at either edge of the last sum's window (the tolerance is exact)
+@example(np.array([0.0, 0.25, 0.5, 0.75 + 2.0**-30]), 3, 2.0**-30)
+@example(np.array([0.0, 0.25, 0.5, 0.75 - 2.0**-30]), 3, 2.0**-30)
+def test_merge_matches_list_scan_bitwise(levels, n_modes, rtol):
+    shifted = levels - levels[0]
+    gaps, sums, unmatched = _greedy_match(shifted, n_modes, rtol)
+    ref_gaps, ref_labels, ref_unmatched = _list_scan_match(shifted, n_modes, rtol)
+    assert [pat for _, pat in ref_labels] == list(range(len(ref_labels)))
+    assert np.array(gaps, dtype=float).tobytes() == np.array(ref_gaps, dtype=float).tobytes()
+    assert sums.tobytes() == np.array([s for s, _ in ref_labels]).tobytes()
+    assert unmatched == ref_unmatched
+
+
+def _labeling_outcome(labeler, energies):
+    try:
+        eps, pattern = labeler(energies)
+    except ValueError as exc:
+        return str(exc)
+    return eps.tobytes(), pattern.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_free_like_spectra(truncate=False), st.integers(0, 2**32 - 1), st.booleans())
+def test_labeling_matches_list_scan(levels, seed, descend):
+    if descend:
+        # descents below LABELING_TOL pass the order check and reach the matcher
+        noise = np.random.default_rng(seed).uniform(-0.45, 0.45, levels.size)
+        levels = levels + noise * LABELING_TOL
+    got = _labeling_outcome(infer_free_labeling, levels)
+    ref = _labeling_outcome(_list_scan_labeling, levels)
+    if got != ref and np.any(np.diff(levels) < 0):
+        # a level above a sum's window followed by one inside it: the single
+        # pointer reports the sum unmatched where the list scan matched it out
+        # of order and failed the reconstruction instead
+        assert isinstance(ref, str) and ref.startswith("level ")
+        assert got == "spectrum admits no free labeling within tolerance"
+    else:
+        assert got == ref
+
+
+def test_labels_the_free_twelve_site_chain():
+    params = ChainParams(n_sites=12)
+    levels = np.sort(np.concatenate([
+        exact_diagonalize(spinless_chain(params, n), keep_vectors=False).energies
+        for n in range(13)]), kind="stable")
+    eps, pattern = infer_free_labeling(levels)
+    np.testing.assert_allclose(np.sort(eps), np.sort(np.abs(diagonalize_kernel(
+        -params.hopping_matrix()))), atol=1e-10)
+    assert sorted(pattern.tolist()) == list(range(4096))
+    np.testing.assert_allclose(subset_sums(eps)[pattern], levels - levels[0], atol=1e-10)

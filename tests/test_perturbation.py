@@ -113,6 +113,8 @@ def test_infer_free_labeling_rejects_non_free_spectrum():
         infer_free_labeling(np.array([0.0, 1.0, 2.0, 2.5]))
     with pytest.raises(ValueError, match="power of two"):
         infer_free_labeling(np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="empty"):
+        infer_free_labeling(np.array([]))
 
 
 @pytest.mark.parametrize("v", [0.1, 0.5, 1.0])
