@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fock import MAX_MODES
 from .free_fermion import greedy_single_particle_gaps, subset_sums
@@ -101,20 +100,99 @@ def _pseudo_levels(probs: np.ndarray, beta: float) -> np.ndarray:
 def _objective_factory(target_desc: np.ndarray, beta: float):
     target = np.sort(target_desc)  # ascending; zeros lead
 
-    def objective(eps: np.ndarray) -> float:
-        # boltzmann_weights inlined and worked in place on the fresh level array:
-        # an 8-mode fit makes ~44k calls, each would pay its validation and temporaries
+    def objective(eps: np.ndarray):
+        # one value per row of eps, a scalar for 1-D eps; boltzmann_weights is inlined
+        # and worked in place: a fit makes hundreds to thousands of batched calls
         q = subset_sums(eps)
-        q -= q.min()
+        q -= q.min(axis=-1, keepdims=True)
         q *= -beta
         np.exp(q, out=q)
-        q /= q.sum()
+        q /= q.sum(axis=-1, keepdims=True)
         q.sort()
         np.subtract(target, q, out=q)
         np.abs(q, out=q)
-        return 0.5 * float(q.sum())
+        return 0.5 * q.sum(axis=-1)
 
     return objective
+
+
+#: Nelder-Mead step kinds and their points c1*xbar - c2*w (w the worst vertex):
+#: 0 expansion, 1 reflection, 2 outside and 3 inside contraction (0.5*xbar + 0.5*w,
+#: since a - (-b) == a + b in floating point).
+_STEP_C1 = np.array([3.0, 2.0, 1.5, 0.5])
+_STEP_C2 = np.array([2.0, 1.0, 0.5, -0.5])
+
+
+def _sorted_simplices(sim, fsim):
+    rows, ind = np.arange(fsim.shape[0])[:, None], fsim.argsort(1)
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
+    """Nelder-Mead from every row of x0 at once, with batched objective calls.
+
+    Row r repeats, operation for operation, SciPy's
+    ``minimize(objective, x0[r], method="Nelder-Mead")`` with maxiter=max_iter,
+    maxfev=4*max_iter and the SIMPLEX_ tolerances: the same vertex arithmetic,
+    comparisons, sorts and budget cut-offs.  A step evaluates the reflections of
+    all live rows in one call, then their second points in one call; no call
+    holds more points than x0 has rows.  Returns (x, fun, nit, success), one
+    entry per row, bitwise equal to that call's fields.
+    """
+    m, n = x0.shape
+    maxfev = 4 * max_iter
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full((m, n + 1), np.inf)
+    count = min(n + 1, maxfev)  # the budget may end before the last vertex
+    for j in range(count):
+        fsim[:, j] = objective(sim[:, j])
+    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim))
+    fcalls, nit, rows = np.full(m, count), np.ones(m, int), np.arange(m)
+    x, fun, nits, success = np.empty((m, n)), np.empty(m), np.empty(m, int), np.empty(m, bool)
+    while rows.size:
+        spent = (fcalls >= maxfev) | (nit >= max_iter)
+        x_spread = np.abs(sim[:, 1:] - sim[:, :1]).reshape(rows.size, -1).max(1)
+        f_spread = np.abs(fsim[:, 1:] - fsim[:, :1]).max(1)
+        done = spent | ((x_spread <= SIMPLEX_XATOL) & (f_spread <= SIMPLEX_FATOL))
+        if done.any():
+            r = rows[done]
+            x[r], fun[r], nits[r] = sim[done, 0], fsim[done].min(1), nit[done]
+            success[r] = ~spent[done]
+            live = ~done
+            rows, sim, fsim, fcalls, nit = rows[live], sim[live], fsim[live], fcalls[live], nit[live]
+            if not rows.size:
+                break
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        w = sim[:, -1]
+        xr = 2 * xbar - w
+        fr = objective(xr)
+        f0, f2, f1 = fsim[:, 0], fsim[:, -2], fsim[:, -1]  # a NaN fr falls through to kind 3
+        kind = np.where(fr < f0, 0, np.where(fr < f2, 1, np.where(fr < f1, 2, 3)))
+        go = (kind != 1) & (fcalls < maxfev - 1)  # else the second call overruns the budget
+        xs = _STEP_C1[kind, None] * xbar - _STEP_C2[kind, None] * w
+        fs = fr.copy()
+        fs[go] = objective(xs[go])
+        fcalls += 1 + go
+        better = np.where(kind == 2, fs <= fr, fs < np.where(kind == 3, f1, fr))
+        ok = go | (kind == 1)
+        failed = go & (kind > 1) & ~better  # a contraction that did not improve: shrink
+        replace = ok & ~failed
+        sim[:, -1] = np.where(replace[:, None], np.where(better[:, None], xs, xr), w)
+        fsim[:, -1] = np.where(replace, np.where(better, fs, fr), f1)
+        shrink = np.flatnonzero(failed)
+        if shrink.size:
+            budget = maxfev - fcalls[shrink]
+            for j in range(1, n + 1):  # vertex j is written before its call, which may overrun
+                reach, call = shrink[budget >= j - 1], shrink[budget >= j]
+                sim[reach, j] = sim[reach, 0] + 0.5 * (sim[reach, j] - sim[reach, 0])
+                fsim[call, j] = objective(sim[call, j])
+            fcalls[shrink] += np.minimum(budget, n)
+            ok[shrink[budget < n]] = False
+        nit += ok
+        sim, fsim = _sorted_simplices(sim, fsim)
+    return x, fun, nits, success
 
 
 def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 1.0,
@@ -134,11 +212,13 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
 
     The search runs a derivative-free simplex descent from several starts:
     a greedy gap decomposition of the input spectrum, random perturbations
-    of it, and uniform draws over the resolved level range.  Restart results
-    merge by taking the minimum in restart order, so the outcome is
-    reproducible for a fixed seed.  The search stops at the first start whose
-    objective is already at most FLOOR_TOL: D >= 0, so no descent can improve
-    on it by more than FLOOR_TOL.
+    of it, and uniform draws over the resolved level range.  Only the starts
+    before the first one whose objective is already at most FLOOR_TOL are
+    searched: D >= 0, so no descent can improve on it by more than FLOOR_TOL.
+    Their Nelder-Mead searches advance in lockstep on batched objective calls,
+    each with the arithmetic of SciPy's Nelder-Mead from its start.  Restart
+    results merge by taking the minimum in restart order, so the outcome is
+    reproducible for a fixed seed.
     """
     probs = _as_probs(rho)
     if not np.isfinite(beta) or beta <= 0:
@@ -160,8 +240,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     objective = _objective_factory(target, beta)
 
     if n_free_modes == 0:
-        value = objective(np.zeros(0))
-        return DistanceResult(value, np.zeros(0), {
+        return DistanceResult(float(objective(np.zeros(0))), np.zeros(0), {
             "converged": True, "restarts": 0, "total_iterations": 0})
 
     levels = _pseudo_levels(probs, beta)
@@ -179,27 +258,22 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     while len(starts) < opts.restarts:
         starts.append(rng.uniform(0.0, span, n_free_modes))
 
-    best_value = np.inf
-    best_x = starts[0]
-    best_success = False
-    total_iterations = 0
-    for x0 in starts:
-        v0 = objective(x0)
-        if v0 < best_value:
-            best_value, best_x = v0, np.asarray(x0, float)
-            # a start is only "converged" when it already sits at the floor
-            best_success = v0 <= FLOOR_TOL
-        if v0 <= FLOOR_TOL:  # D >= 0, so the best value so far is the global minimum
-            best_success = True
-            break
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": opts.max_iter, "maxfev": 4 * opts.max_iter,
-                                "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
-        total_iterations += int(res.nit)
-        if res.fun < best_value:
-            best_value, best_x = float(res.fun), res.x
-            best_success = bool(res.success)
+    starts = np.array(starts)
+    v0 = objective(starts)
+    at_floor = np.flatnonzero(v0 <= FLOOR_TOL)
+    searched = at_floor[0] if at_floor.size else len(starts)
+    x, fun, nit, success = _lockstep_nelder_mead(objective, starts[:searched], opts.max_iter)
+    best_value, best_x, best_success = np.inf, starts[0], False
+    for i in range(searched):  # merge in restart order
+        if v0[i] < best_value:
+            best_value, best_x, best_success = v0[i], starts[i], False
+        if fun[i] < best_value:
+            best_value, best_x, best_success = fun[i], x[i], success[i]
+    if searched < len(starts):  # D >= 0, so the best value so far is the global minimum
+        if v0[searched] < best_value:
+            best_value, best_x = v0[searched], starts[searched]
+        best_success = True
 
     return DistanceResult(float(best_value), np.sort(np.abs(best_x)), {
-        "converged": best_success, "restarts": opts.restarts,
-        "total_iterations": total_iterations})
+        "converged": bool(best_success), "restarts": opts.restarts,
+        "total_iterations": int(nit.sum())})

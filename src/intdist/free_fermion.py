@@ -45,15 +45,19 @@ def diagonalize_kernel(kernel) -> np.ndarray:
 
 
 def subset_sums(epsilons) -> np.ndarray:
-    """All 2^N sums of subsets of epsilons, indexed by occupation bitstring."""
-    eps = np.asarray(epsilons, dtype=float).ravel()
-    if eps.size > MAX_MODES:
-        raise ValueError(f"too many free modes ({eps.size} > {MAX_MODES})")
-    levels = np.zeros(1 << eps.size)
-    k = 1
-    for e in eps:  # doubling: the sums with mode j occupied follow those without
-        np.add(levels[:k], e, out=levels[k:2 * k])
-        k *= 2
+    """All 2^N sums of subsets of epsilons, indexed by occupation bitstring.
+
+    The last axis holds the N mode energies; leading axes are a batch, so
+    shape (..., N) gives (..., 2^N), each row equal to its own 1-D call.
+    """
+    eps = np.atleast_1d(np.asarray(epsilons, dtype=float))
+    n = eps.shape[-1]
+    if n > MAX_MODES:
+        raise ValueError(f"too many free modes ({n} > {MAX_MODES})")
+    levels = np.zeros(eps.shape[:-1] + (1 << n,))
+    for j in range(n):  # doubling: the sums with mode j occupied follow those without
+        k = 1 << j
+        np.add(levels[..., :k], eps[..., j, None], out=levels[..., k:2 * k])
     return levels
 
 

@@ -123,6 +123,8 @@ def infer_free_labeling(energies, tol: float = LABELING_TOL):
     lv = np.asarray(energies, dtype=float).ravel()
     if lv.size == 0:
         raise ValueError("energies must not be empty")
+    if not np.isfinite(lv).all():
+        raise ValueError("energies must be finite")
     if np.any(np.diff(lv) < -tol):
         raise ValueError("energies must be ascending")
     n_states = lv.size

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from intdist.distance import (FLOOR_TOL, DistanceResult, OptimizerOptions, _objective_factory,
+from intdist.distance import (FLOOR_TOL, SIMPLEX_FATOL, SIMPLEX_XATOL, DistanceResult,
+                              OptimizerOptions, _lockstep_nelder_mead, _objective_factory,
                               df_upper_bound, interaction_distance, trace_distance_sorted)
 from intdist.free_fermion import FreeSpectrumParams, free_probabilities, subset_sums
 from intdist.models import DimerParams, hubbard_dimer
@@ -244,3 +248,48 @@ def test_start_at_the_floor_stops_the_search():
     # the dimer free point: the greedy start is exact, so no simplex runs either
     free = interaction_distance(_dimer_thermal(0.0), 2, 1.0)
     assert free.value == 0.0 and free.optimizer_info["total_iterations"] == 0
+
+
+def test_batched_subset_sums_and_objective_rows_match_1d_calls_bitwise():
+    rng = np.random.default_rng(45)
+    for _ in range(300):
+        n = int(rng.integers(0, 9))
+        beta = rng.uniform(0.1, 10.0)
+        target = np.sort(_random_probs(rng, 1 << n))[::-1]
+        eps = rng.uniform(-5.0, 5.0, (int(rng.integers(1, 20)), n))
+        eps[rng.random(eps.shape) < 0.1] = 0.0
+        objective = _objective_factory(target, beta)
+        sums, values = subset_sums(eps), objective(eps)
+        assert sums.shape == (eps.shape[0], 1 << n) and values.shape == (eps.shape[0],)
+        for row, row_sums, value in zip(eps, sums, values):
+            assert row_sums.tobytes() == subset_sums(row).tobytes()
+            assert value == objective(row)
+        stacked = subset_sums(np.stack([eps, -eps]))
+        assert stacked[0].tobytes() == sums.tobytes()
+        assert stacked[1].tobytes() == subset_sums(-eps).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([1, 2, 3, 40, 5000]), st.floats(0.1, 10.0),
+       st.integers(0, 2**32 - 1))
+@example(6, 2, 1.0, 8)  # 7 vertex calls and a reflection leave no call for the second point
+def test_lockstep_search_matches_scipy_nelder_mead_bitwise(n, max_iter, beta, seed):
+    # max_iter=1 leaves 4 calls, fewer than the 6+ vertices of a 5+ mode simplex
+    rng = np.random.default_rng(seed)
+    target = np.sort(_random_probs(rng, 1 << n) ** 4)[::-1]
+    objective = _objective_factory(target / target.sum(), beta)
+    x0 = rng.uniform(0.0, 5.0, (3, n))
+    x0[rng.random(x0.shape) < 0.15] = 0.0  # a zero coordinate gets the absolute step
+    # a parked mode's Gibbs weight underflows to 0: along it the objective is
+    # flat, which makes ties; with all modes parked every step shrinks, and the
+    # small budgets run out inside a shrink
+    x0[1, rng.random(n) < 0.5] = 850.0 / beta
+    x0[2] = rng.uniform(800.0, 900.0, n) / beta
+    x, fun, nit, success = _lockstep_nelder_mead(objective, x0, max_iter)
+    for r, start in enumerate(x0):
+        res = minimize(objective, start, method="Nelder-Mead",
+                       options={"maxiter": max_iter, "maxfev": 4 * max_iter,
+                                "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
+        assert res.x.tobytes() == x[r].tobytes()
+        assert np.float64(res.fun).tobytes() == fun[r].tobytes()
+        assert (res.nit, res.success) == (nit[r], success[r])

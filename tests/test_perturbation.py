@@ -115,6 +115,10 @@ def test_infer_free_labeling_rejects_non_free_spectrum():
         infer_free_labeling(np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="empty"):
         infer_free_labeling(np.array([]))
+    # the matcher claims no NaN or inf level, so these would otherwise be labeled
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="energies must be finite"):
+            infer_free_labeling(np.array([0.0, 1.0, 2.0, bad]))
 
 
 @pytest.mark.parametrize("v", [0.1, 0.5, 1.0])
