@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
+from .fock import density_density_diagonal
 from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
-                     hubbard_dimer, spinless_chain)
+                     dimer_interaction_matrix, hubbard_dimer, spinless_chain)
 from .perturbation import (DEGENERACY_TOL, degenerate_groups, first_order_reduced_density,
                            infer_free_labeling, perturbative_dent, perturbative_dth,
                            perturbative_free_decomposition, resolve_degeneracies)
@@ -82,7 +83,7 @@ class _Model:
     fields: dict                # config fields with their defaults (None: required)
     check: Callable             # params -> None; raises ConfigError
     sectors: Callable            # (params, v) -> one operator per particle number, ascending
-    unit_interactions: Callable  # params -> the interaction at v = 1, one operator per sector
+    interaction: Callable        # params -> density-density coupling matrix at v = 1
     thermal_modes: Callable      # params -> free modes fitted to a thermal spectrum
     region: Callable             # params -> modes on one side of the entanglement cut
 
@@ -94,7 +95,7 @@ _MODELS = {
         fields={"t": 1.0, "delta1": 1.0, "delta2": -1.0},
         check=_check_dimer,
         sectors=lambda params, v: [hubbard_dimer(DimerParams(**params, v=v))[0]],
-        unit_interactions=lambda params: [hubbard_dimer(DimerParams(**params, v=1.0))[1]],
+        interaction=lambda params: dimer_interaction_matrix(1.0),
         thermal_modes=lambda params: 2,
         region=lambda params: DIMER_SITE1_MODES,
     ),
@@ -103,8 +104,7 @@ _MODELS = {
         check=_check_chain,
         sectors=lambda params, v: [spinless_chain(ChainParams(**params, interaction=v), n)
                                    for n in range(params["n_sites"] + 1)],
-        unit_interactions=lambda params: _MODELS["chain"].sectors(
-            {**params, "hopping": 0.0, "potential": 0.0}, 1.0),
+        interaction=lambda params: ChainParams(**params, interaction=1.0).interaction_matrix(),
         thermal_modes=lambda params: params["n_sites"],
         region=lambda params: tuple(range(max(1, params["n_sites"] // 2))),
     ),
@@ -166,6 +166,7 @@ def _grid_values(spec, name: str) -> np.ndarray:
     lo, hi, steps = float(spec["min"]), float(spec["max"]), spec["steps"]
     _require(steps >= 1, f"{name}.steps must be >= 1")
     _require(lo <= hi, f"{name}.min must not exceed {name}.max")
+    _require(_is_number(hi - lo), f"{name}.min and {name}.max must differ by a finite number")
     if steps == 1:
         return np.array([lo])
     return np.linspace(lo, hi, steps)
@@ -206,13 +207,15 @@ def validate_config(raw: dict) -> dict:
                  "model.n_sites must be >= 2 for quantity=entanglement")
     elif has_tgrid:
         grid = _grid_values(cfg["temperature_grid"], "temperature_grid")
-        _require(grid.min() > 0, "temperature_grid.min must be positive")
+        _require(grid.min() > 0 and _is_number(1.0 / float(grid.min())),
+                 "temperature_grid.min must be positive with a finite reciprocal")
         _require("beta" not in cfg or cfg["beta"] is None,
                  "beta and temperature_grid are mutually exclusive")
         cfg.pop("beta", None)
     else:
         beta = cfg.get("beta", 1.0)
-        _require(_is_number(beta) and beta > 0, "beta must be a positive finite number")
+        _require(_is_number(beta) and beta > 0 and _is_number(1.0 / beta),
+                 "beta must be a positive finite number with a finite reciprocal")
         cfg["beta"] = float(beta)
 
     opt = cfg.get("optimizer", {})
@@ -307,11 +310,13 @@ def _perturbative_context(cfg: dict):
     sector; each grid point only evaluates the closed form at its coupling.
     """
     spec, params = _configured_model(cfg)
-    eigs = [exact_diagonalize(op) for op in spec.sectors(params, 0.0)]
-    units = spec.unit_interactions(params)
+    sectors = spec.sectors(params, 0.0)
+    eigs = [exact_diagonalize(op) for op in sectors]
+    coupling = spec.interaction(params)
+    units = [density_density_diagonal(op.basis, coupling) for op in sectors]
     if cfg["quantity"] == "entanglement":
         k = _ground_sector([eig.energies for eig in eigs])
-        return first_order_reduced_density(eigs[k], units[k], spec.region(params))
+        return first_order_reduced_density(eigs[k], units[k], sectors[k].basis, spec.region(params))
     slopes = [resolve_degeneracies(eig, unit)[0] for eig, unit in zip(eigs, units)]
     energies = np.concatenate([eig.energies for eig in eigs])
     order = np.argsort(energies, kind="stable")

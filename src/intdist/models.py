@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis, build_density_density,
-                   build_quadratic, density_density_diagonal, symmetric_matrix)
+from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis, build_quadratic,
+                   density_density_diagonal, symmetric_matrix)
 from .spectra import MAX_DIM
 
 #: Longest chain the CLI and ChainParams accept: the largest whose Fock space
@@ -71,12 +71,12 @@ def dimer_interaction_matrix(v: float) -> np.ndarray:
 def hubbard_dimer(params: DimerParams = DimerParams()):
     """Dimer Hamiltonian in the S_z = 0 sector, plus its interaction part.
 
-    Returns (H, V_op) over dimer_sector_basis(); V_op is diagonal with
-    entries (v, 0, 0, v) and is returned separately for perturbation theory.
+    Returns (H, v_diag) over dimer_sector_basis(); H is built from v_diag, the
+    interaction's diagonal (v, 0, 0, v), which perturbation theory takes.
     """
     basis = dimer_sector_basis()
-    v_op = build_density_density(basis, dimer_interaction_matrix(params.v))
-    return build_quadratic(basis, dimer_kernel(params), diagonal=v_op.matrix.diagonal()), v_op
+    v_diag = density_density_diagonal(basis, dimer_interaction_matrix(params.v))
+    return build_quadratic(basis, dimer_kernel(params), diagonal=v_diag), v_diag
 
 
 @dataclass(frozen=True)

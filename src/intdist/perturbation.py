@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ManyBodyOperator
 from .free_fermion import _greedy_match, match_tolerance, subset_sums
 from .spectra import EigenSystem, amplitude_matrix, boltzmann_weights
 
@@ -67,47 +66,54 @@ def degenerate_groups(values) -> list:
     return list(map(slice, [0] + cuts, cuts + [len(values)]))
 
 
-def _first_order_split(values, vectors, pert_matrix):
+def _first_order_split(values, vectors, project):
     """One degenerate first-order step for the ascending eigenvalues ``values``.
 
-    Within each degenerate group the columns of ``vectors`` are rotated so
-    ``pert_matrix`` is diagonal there (the identity when it does not couple
-    the group).  Returns (coefficients, rotated vectors) with coefficients
-    ascending inside each group.
+    Within each degenerate group the columns x of ``vectors`` are rotated so
+    ``project(x)``, the perturbation's matrix x^T P x there, is diagonal (the
+    identity when P does not couple the group).  Returns (coefficients,
+    rotated vectors) with coefficients ascending inside each group.
     """
     vectors = np.array(vectors)
     coeffs = np.empty(values.size)
     for grp in degenerate_groups(values):
         x = vectors[:, grp]
-        coeffs[grp], w = np.linalg.eigh(x.T @ pert_matrix @ x)
+        coeffs[grp], w = np.linalg.eigh(project(x))
         vectors[:, grp] = x @ w
     return coeffs, vectors
 
 
-def resolve_degeneracies(h0_eigen: EigenSystem, v_op: ManyBodyOperator):
+def resolve_degeneracies(h0_eigen: EigenSystem, v_diag):
     """Per-state first-order coefficients of a perturbation, degeneracy-safe.
 
-    Within each degenerate subspace of the unperturbed spectrum, the
-    eigenvectors are rotated so the perturbation is diagonal there.  Returns
-    (coefficients, vectors) in the unperturbed ordering, with states ordered
-    by ascending coefficient inside each degenerate group, so
-    ``h0_eigen.energies + lam * coefficients`` are the first-order energies.
+    ``v_diag`` is the perturbation's diagonal in the eigenvectors' occupation
+    basis, as for any density-density term.  Within each degenerate subspace
+    of the unperturbed spectrum, the eigenvectors are rotated so the
+    perturbation is diagonal there.  Returns (coefficients, vectors) in the
+    unperturbed ordering, with states ordered by ascending coefficient inside
+    each degenerate group, so ``h0_eigen.energies + lam * coefficients`` are
+    the first-order energies.
     """
     if h0_eigen.vectors is None:
         raise ValueError("eigenvectors are required for perturbation theory")
-    return _first_order_split(h0_eigen.energies, h0_eigen.vectors, v_op.matrix)
+    v = np.asarray(v_diag, dtype=float)
+    if v.shape != h0_eigen.vectors.shape[:1]:
+        raise ValueError(f"v_diag shape {v.shape} is not the basis's {h0_eigen.vectors.shape[:1]}")
+    # C order makes this bitwise equal to x.T @ np.diag(v) @ x; (x.T * v) @ x is not
+    return _first_order_split(h0_eigen.energies, h0_eigen.vectors,
+                              lambda x: np.multiply(x.T, v, order="C") @ x)
 
 
-def _state_and_correction(h0_eigen: EigenSystem, v_op: ManyBodyOperator, k: int):
+def _state_and_correction(h0_eigen: EigenSystem, v_diag, k: int):
     """Rotated eigenstate k and its first-order correction per unit coupling.
 
     The correction mixes in every state outside the degenerate group of k with
     amplitude proportional to the coupling matrix element over the energy gap.
     """
-    _, vectors = resolve_degeneracies(h0_eigen, v_op)
+    _, vectors = resolve_degeneracies(h0_eigen, v_diag)
     gaps = h0_eigen.energies[k] - h0_eigen.energies
     outside = np.abs(gaps) > DEGENERACY_TOL
-    amps = vectors.T @ v_op.matrix @ vectors[:, k]
+    amps = np.multiply(vectors.T, v_diag, order="C") @ vectors[:, k]
     return vectors[:, k], vectors[:, outside] @ (amps[outside] / gaps[outside])
 
 
@@ -192,18 +198,20 @@ def perturbative_dth(decomp: PerturbativeDecomposition, beta: float) -> float:
     return 0.5 * float(w @ np.abs(scaled - mean))
 
 
-def first_order_reduced_density(h0_eigen: EigenSystem, v_op: ManyBodyOperator, region_a):
+def first_order_reduced_density(h0_eigen: EigenSystem, v_diag, basis, region_a):
     """First-order eigenvalues r0 + lam * slope of the ground state's density matrix over A.
 
-    With M0 and M1 the amplitude matrices of the ground state and of its first-order
-    correction, this is one degenerate first-order step on M0 M0^T with the
-    perturbation M0 M1^T + M1 M0^T.  Returns (r0, slope), both descending.
+    ``v_diag`` is the perturbation's diagonal over ``basis``, the eigenvectors'
+    occupation basis.  With M0 and M1 the amplitude matrices of the ground state
+    and of its first-order correction, this is one degenerate first-order step on
+    M0 M0^T with the perturbation M0 M1^T + M1 M0^T.  Returns (r0, slope), both descending.
     """
-    psi0, psi1 = _state_and_correction(h0_eigen, v_op, 0)
-    m0 = amplitude_matrix(psi0, v_op.basis, region_a)
-    m1 = amplitude_matrix(psi1, v_op.basis, region_a)
+    psi0, psi1 = _state_and_correction(h0_eigen, v_diag, 0)
+    m0 = amplitude_matrix(psi0, basis, region_a)
+    m1 = amplitude_matrix(psi1, basis, region_a)
     r0, vectors = np.linalg.eigh(m0 @ m0.T)
-    slope, _ = _first_order_split(r0, vectors, m0 @ m1.T + m1 @ m0.T)
+    pert = m0 @ m1.T + m1 @ m0.T
+    slope, _ = _first_order_split(r0, vectors, lambda x: x.T @ pert @ x)
     return r0[::-1], slope[::-1]
 
 

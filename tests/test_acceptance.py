@@ -87,7 +87,7 @@ def curves():
         pert[v] = perturbative_dth(decomp, 1.0)
         exact[v] = dimer_thermal_distance(v, 1.0)
     data["pert_th"], data["exact_th"] = pert, exact
-    rdm = first_order_reduced_density(eig0, unit_v, DIMER_SITE1_MODES)
+    rdm = first_order_reduced_density(eig0, unit_v, dimer_sector_basis(), DIMER_SITE1_MODES)
     data["pert_ent"] = {v: perturbative_dent(*rdm, v) for v in (0.1, 0.2, 0.3, 0.4, 0.5)}
     data["exact_ent"] = {v: dimer_entanglement_distance(v) for v in (0.1, 0.2, 0.3, 0.4, 0.5)}
     return data

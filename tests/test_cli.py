@@ -14,8 +14,9 @@ import pytest
 import intdist.cli
 from intdist.cli import (_FLAGS, _perturbative_context, _spectrum_at, main, render_csv,
                          run_compare, run_sweep, validate_config)
-from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, hubbard_dimer,
-                            spinless_chain)
+from intdist.fock import density_density_diagonal
+from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_sector_basis,
+                            hubbard_dimer, spinless_chain)
 from intdist.perturbation import (first_order_reduced_density, infer_free_labeling,
                                   perturbative_dent, resolve_degeneracies)
 from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
@@ -204,9 +205,9 @@ def test_compare_resolves_degeneracies_once_per_run(monkeypatch):
     # it runs once per particle-number sector, whose sizes are C(4, N)
     calls = []
 
-    def counting(h0_eigen, v_op):
+    def counting(h0_eigen, v_diag):
         calls.append(h0_eigen.energies.size)
-        return resolve_degeneracies(h0_eigen, v_op)
+        return resolve_degeneracies(h0_eigen, v_diag)
 
     monkeypatch.setattr(intdist.cli, "resolve_degeneracies", counting)
     cfg = validate_config({"model": {"type": "chain", "n_sites": 4}, "quantity": "thermal",
@@ -223,8 +224,10 @@ def test_sector_context_matches_full_space_split(n, potential):
     cfg = validate_config({"model": {"type": "chain", "n_sites": n, "potential": potential},
                            "quantity": "thermal"})
     energies, slope, pattern = _perturbative_context(cfg)
-    eig = exact_diagonalize(spinless_chain(ChainParams(n_sites=n, potential=potential)))
-    unit_v = spinless_chain(ChainParams(n_sites=n, hopping=0.0, potential=0.0, interaction=1.0))
+    h0 = spinless_chain(ChainParams(n_sites=n, potential=potential))
+    eig = exact_diagonalize(h0)
+    coupling = ChainParams(n, interaction=1.0).interaction_matrix()
+    unit_v = density_density_diagonal(h0.basis, coupling)
     np.testing.assert_array_equal(energies, eig.energies)
     np.testing.assert_array_equal(pattern, infer_free_labeling(eig.energies)[1])
     np.testing.assert_allclose(slope, resolve_degeneracies(eig, unit_v)[0], rtol=0, atol=1e-13)
@@ -254,7 +257,8 @@ def test_compare_entanglement_uses_configured_couplings(capsys, tmp_path):
     rows = _compare_entanglement_rows(capsys, tmp_path, {"type": "dimer", "t": 2.0})
     h0, _ = hubbard_dimer(DimerParams(t=2.0))
     unit_v = hubbard_dimer(DimerParams(t=2.0, v=1.0))[1]
-    rdm = first_order_reduced_density(exact_diagonalize(h0), unit_v, DIMER_SITE1_MODES)
+    rdm = first_order_reduced_density(exact_diagonalize(h0), unit_v, dimer_sector_basis(),
+                                      DIMER_SITE1_MODES)
     assert rows[1]["v"] == "0.5"
     assert rows[1]["perturbative"] == f"{perturbative_dent(*rdm, 0.5):.12g}"
     assert rows[1]["perturbative"] != "0.00937294406076"  # the default-coupling value
@@ -348,6 +352,13 @@ _CONFIG_FILE_ERRORS = [
      "coupling_grid requires numeric min/max and integer steps"),
     ({"temperature_grid": {"min": 0.5, "max": 1, "steps": 2.7}},
      "temperature_grid requires numeric min/max and integer steps"),
+    # values whose difference or reciprocal overflows the float range
+    ({"coupling_grid": {"min": -1e308, "max": 1e308, "steps": 3}},
+     "coupling_grid.min and coupling_grid.max must differ by a finite number"),
+    ({"temperature_grid": {"min": 1e-320, "max": 1, "steps": 2}},
+     "temperature_grid.min must be positive with a finite reciprocal"),
+    ({"beta": 1e-320, "output": {"format": "jsonl"}},
+     "beta must be a positive finite number with a finite reciprocal"),
     ({"output": 3}, "output"),
     ({"output": {"path": 5}}, "output.path"),
 ]

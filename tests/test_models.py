@@ -42,8 +42,8 @@ def test_dimer_ground_state_coefficients():
 
 def test_dimer_interaction_part():
     for v in (0.0, 0.7, 3.0):
-        _, v_op = hubbard_dimer(DimerParams(v=v))
-        np.testing.assert_allclose(v_op.matrix, np.diag([v, 0.0, 0.0, v]), atol=1e-15)
+        _, v_diag = hubbard_dimer(DimerParams(v=v))
+        np.testing.assert_allclose(v_diag, [v, 0.0, 0.0, v], atol=1e-15)
 
 
 def test_dimer_sector_basis_ordering():

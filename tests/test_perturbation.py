@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intdist.distance import interaction_distance
-from intdist.fock import ManyBodyOperator, build_basis, build_density_density, build_quadratic
+from intdist.fock import build_basis, build_quadratic, density_density_diagonal
 from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_sector_basis,
                             hubbard_dimer, spinless_chain)
 from intdist.perturbation import (DEGENERACY_TOL, PerturbativeDecomposition,
-                                  _state_and_correction, first_order_reduced_density,
+                                  _state_and_correction, degenerate_groups,
+                                  first_order_reduced_density,
                                   infer_free_labeling, perturbative_dent, perturbative_dth,
                                   perturbative_free_decomposition, resolve_degeneracies)
 from intdist.spectra import (EigenSystem, exact_diagonalize, reduced_density_spectrum,
@@ -33,15 +34,15 @@ def _dimer_h0_and_unit_v(**couplings):
     return exact_diagonalize(h0), unit_v
 
 
-def _first_order_energies(eig, v_op, lam):
+def _first_order_energies(eig, v_diag, lam):
     """Unperturbed energies plus lam times the degeneracy-resolved first-order slope."""
-    return eig.energies + lam * resolve_degeneracies(eig, v_op)[0]
+    return eig.energies + lam * resolve_degeneracies(eig, v_diag)[0]
 
 
 def _dimer_rdm(**couplings):
     """First-order (r0, slope) of the dimer's half-system density matrix."""
     eig, unit_v = _dimer_h0_and_unit_v(**couplings)
-    return first_order_reduced_density(eig, unit_v, DIMER_SITE1_MODES)
+    return first_order_reduced_density(eig, unit_v, dimer_sector_basis(), DIMER_SITE1_MODES)
 
 
 def _exact_dimer_rdm(v, **couplings):
@@ -51,9 +52,9 @@ def _exact_dimer_rdm(v, **couplings):
 
 
 def test_zero_perturbation_keeps_energies():
-    eig, unit_v = _dimer_h0_and_unit_v()
-    zero = ManyBodyOperator(unit_v.basis, np.zeros((4, 4)))
-    np.testing.assert_allclose(_first_order_energies(eig, zero, 0.7), eig.energies, atol=1e-14)
+    eig, _ = _dimer_h0_and_unit_v()
+    np.testing.assert_allclose(_first_order_energies(eig, np.zeros(4), 0.7), eig.energies,
+                               atol=1e-14)
 
 
 def test_dimer_first_order_energies():
@@ -65,40 +66,89 @@ def test_dimer_first_order_energies():
 
 
 def test_degenerate_block_is_rotated():
-    basis = build_basis(2)
-    h0 = EigenSystem(np.array([0.0, 0.0, 1.0, 2.0]), np.eye(4))
-    v = np.zeros((4, 4))
-    v[0, 1] = v[1, 0] = 0.3  # couples the degenerate pair
-    v_op = ManyBodyOperator(basis, v)
+    # the degenerate pair's eigenvectors lie at 45 degrees to the occupation
+    # states, so in their frame the diagonal perturbation only couples the pair
+    c = np.sqrt(0.5)
+    vectors = np.eye(4)
+    vectors[:2, :2] = [[c, -c], [c, c]]
+    h0 = EigenSystem(np.array([0.0, 0.0, 1.0, 2.0]), vectors)
+    v_diag = np.array([-0.3, 0.3, 0.0, 0.0])
     # the degenerate block is rotated, so its eigenvalues are used
-    energies = _first_order_energies(h0, v_op, 1.0)
+    energies = _first_order_energies(h0, v_diag, 1.0)
     np.testing.assert_allclose(energies[:2], [-0.3, 0.3], atol=1e-14)
+    # and its rotated vectors are the occupation states again
+    _, rotated = resolve_degeneracies(h0, v_diag)
+    np.testing.assert_allclose(np.abs(rotated), np.eye(4), atol=1e-14)
+
+
+def _dense_split(eig, v_diag):
+    """The split's oracle: each group's eigh of x.T @ P @ x with P the dense diagonal matrix."""
+    dense = np.diag(v_diag)
+    vectors = np.array(eig.vectors)
+    coeffs = np.empty(eig.energies.size)
+    for grp in degenerate_groups(eig.energies):
+        x = vectors[:, grp]
+        coeffs[grp], w = np.linalg.eigh(x.T @ dense @ x)
+        vectors[:, grp] = x @ w
+    return coeffs, vectors
+
+
+def _chain_sectors(n, potential):
+    """(eigensystem, unit interaction diagonal) of each particle-number sector of a chain."""
+    coupling = ChainParams(n, interaction=1.0).interaction_matrix()
+    ops = [spinless_chain(ChainParams(n, potential=potential), k) for k in range(n + 1)]
+    return [(exact_diagonalize(op), density_density_diagonal(op.basis, coupling)) for op in ops]
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+@pytest.mark.parametrize("potential", ["uniform", "staggered"])
+def test_split_equals_dense_product_bitwise(n, potential):
+    mu = 0.0 if potential == "uniform" else [0.5 * (-1) ** i for i in range(n)]
+    cases = _chain_sectors(n, mu)
+    if n == 2:
+        h0, unit_v = _dimer_h0_and_unit_v()
+        cases.append((h0, unit_v))
+    for eig, v_diag in cases:
+        coeffs, vectors = resolve_degeneracies(eig, v_diag)
+        ref_coeffs, ref_vectors = _dense_split(eig, v_diag)
+        np.testing.assert_array_equal(coeffs, ref_coeffs)
+        np.testing.assert_array_equal(vectors, ref_vectors)
+
+
+def test_rejects_v_diag_of_the_wrong_shape():
+    # one degenerate group spans the whole basis, where a (d, d) array would broadcast
+    eig = EigenSystem(np.zeros(4), np.eye(4))
+    for bad in (np.zeros((4, 4)), np.zeros(3)):
+        with pytest.raises(ValueError, match="v_diag shape"):
+            resolve_degeneracies(eig, bad)
+        with pytest.raises(ValueError, match="v_diag shape"):
+            _state_and_correction(eig, bad, 0)
 
 
 def test_first_order_eigenstate_matches_state_by_state_sum():
     # reference: the per-state loop over every state outside k's degenerate group
-    chain = ChainParams(4)
-    eig = exact_diagonalize(spinless_chain(chain))
-    v_op = spinless_chain(ChainParams(4, hopping=0.0, potential=0.0, interaction=1.0))
+    h0 = spinless_chain(ChainParams(4))
+    eig = exact_diagonalize(h0)
+    coupling = ChainParams(4, interaction=1.0).interaction_matrix()
+    v_diag = density_density_diagonal(h0.basis, coupling)
+    dense = np.diag(v_diag)
     assert np.any(np.diff(eig.energies) < DEGENERACY_TOL)  # the spectrum has degeneracies
-    _, vectors = resolve_degeneracies(eig, v_op)
+    _, vectors = resolve_degeneracies(eig, v_diag)
     lam = 0.3
     for k in range(eig.energies.size):
         ref = vectors[:, k].copy()
         for m in range(eig.energies.size):
             gap = eig.energies[k] - eig.energies[m]
             if abs(gap) > DEGENERACY_TOL:
-                ref += lam * (vectors[:, m] @ v_op.matrix @ vectors[:, k]) / gap * vectors[:, m]
-        psi, correction = _state_and_correction(eig, v_op, k)
+                ref += lam * (vectors[:, m] @ dense @ vectors[:, k]) / gap * vectors[:, m]
+        psi, correction = _state_and_correction(eig, v_diag, k)
         np.testing.assert_allclose(psi + lam * correction, ref, rtol=0, atol=1e-12)
 
 
 def test_requires_eigenvectors():
     eig = EigenSystem(np.array([0.0, 1.0]))
-    basis = build_basis(1)
-    v_op = ManyBodyOperator(basis, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="eigenvectors"):
-        resolve_degeneracies(eig, v_op)
+        resolve_degeneracies(eig, np.zeros(2))
 
 
 def test_infer_free_labeling_dimer():
@@ -141,10 +191,9 @@ def test_dimer_residual_on_doubly_occupied_state():
 
 
 def test_zero_perturbation_decomposition_is_trivial():
-    eig, unit_v = _dimer_h0_and_unit_v()
+    eig, _ = _dimer_h0_and_unit_v()
     eps0, pattern = infer_free_labeling(eig.energies)
-    zero = ManyBodyOperator(unit_v.basis, np.zeros((4, 4)))
-    decomp = perturbative_free_decomposition(_first_order_energies(eig, zero, 1.0), pattern)
+    decomp = perturbative_free_decomposition(_first_order_energies(eig, np.zeros(4), 1.0), pattern)
     np.testing.assert_allclose(decomp.epsilons_tilde, eps0, atol=1e-12)
     np.testing.assert_allclose(decomp.delta_e, 0.0, atol=1e-12)
 
@@ -161,11 +210,11 @@ def test_reconstruction_identity_random_chain():
         vmat = (vmat + vmat.T) / 2
         basis = build_basis(n)
         h0 = build_quadratic(basis, h)
-        v_op = build_density_density(basis, vmat)
+        v_diag = density_density_diagonal(basis, vmat)
         eig = exact_diagonalize(h0)
         lam = 0.05
         eps, pattern = infer_free_labeling(eig.energies, tol=1e-7)
-        first = _first_order_energies(eig, v_op, lam)
+        first = _first_order_energies(eig, v_diag, lam)
         decomp = perturbative_free_decomposition(first, pattern)
         rebuilt = decomp.e_vacuum + decomp.free_part() + decomp.delta_e
         np.testing.assert_allclose(rebuilt, first, atol=1e-12)
