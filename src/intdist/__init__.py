@@ -8,9 +8,8 @@ __version__ = "0.1.0"
 
 from .distance import (DistanceResult, OptimizerOptions, df_upper_bound,
                        interaction_distance, trace_distance_sorted)
-from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis,
-                   build_density_density, build_quadratic, density_density_diagonal,
-                   hopping_element)
+from .fock import (ManyBodyOperator, OccupationBasis, build_basis, build_density_density,
+                   build_quadratic, density_density_diagonal)
 from .free_fermion import (FreeSpectrumParams, diagonalize_kernel,
                            free_many_body_spectrum, free_probabilities)
 from .models import ChainParams, DimerParams, dimer_sector_basis, hubbard_dimer, spinless_chain
@@ -24,9 +23,8 @@ __all__ = [
     "__version__",
     "DistanceResult", "OptimizerOptions", "df_upper_bound",
     "interaction_distance", "trace_distance_sorted",
-    "ManyBodyOperator", "OccupationBasis", "Sector", "build_basis",
-    "build_density_density", "build_quadratic", "density_density_diagonal",
-    "hopping_element",
+    "ManyBodyOperator", "OccupationBasis", "build_basis", "build_density_density",
+    "build_quadratic", "density_density_diagonal",
     "FreeSpectrumParams", "diagonalize_kernel", "free_many_body_spectrum",
     "free_probabilities",
     "ChainParams", "DimerParams", "dimer_sector_basis", "hubbard_dimer",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 import warnings
@@ -82,7 +83,8 @@ class _Model:
 
     fields: dict                # config fields with their defaults (None: required)
     check: Callable             # params -> None; raises ConfigError
-    sectors: Callable            # (params, v) -> one operator per particle number, ascending
+    numbers: Callable            # params -> particle numbers of the model's sectors, ascending
+    sector: Callable             # (params, v, n) -> Hamiltonian over the n-particle sector
     interaction: Callable        # params -> density-density coupling matrix at v = 1
     thermal_modes: Callable      # params -> free modes fitted to a thermal spectrum
     region: Callable             # params -> modes on one side of the entanglement cut
@@ -94,7 +96,8 @@ _MODELS = {
     "dimer": _Model(
         fields={"t": 1.0, "delta1": 1.0, "delta2": -1.0},
         check=_check_dimer,
-        sectors=lambda params, v: [hubbard_dimer(DimerParams(**params, v=v))[0]],
+        numbers=lambda params: (2,),
+        sector=lambda params, v, n: hubbard_dimer(DimerParams(**params, v=v))[0],
         interaction=lambda params: dimer_interaction_matrix(1.0),
         thermal_modes=lambda params: 2,
         region=lambda params: DIMER_SITE1_MODES,
@@ -102,8 +105,8 @@ _MODELS = {
     "chain": _Model(
         fields={"n_sites": None, "hopping": 1.0, "potential": 0.0},
         check=_check_chain,
-        sectors=lambda params, v: [spinless_chain(ChainParams(**params, interaction=v), n)
-                                   for n in range(params["n_sites"] + 1)],
+        numbers=lambda params: range(params["n_sites"] + 1),
+        sector=lambda params, v, n: spinless_chain(ChainParams(**params, interaction=v), n),
         interaction=lambda params: ChainParams(**params, interaction=1.0).interaction_matrix(),
         thermal_modes=lambda params: params["n_sites"],
         region=lambda params: tuple(range(max(1, params["n_sites"] // 2))),
@@ -253,22 +256,46 @@ def _grid_points(cfg: dict):
     return [(float(v), float(beta), 1.0 / float(beta)) for v in couplings]
 
 
-def _ground_sector(levels) -> int:
-    """Index of the first sector whose lowest level is within DEGENERACY_TOL of the ground."""
+def _solve_sector(spec: _Model, params: dict, v: float, n: int, keep_vectors: bool = False):
+    """The n-particle sector's Hamiltonian at coupling v and its eigensystem.
+
+    A validated config fails here only by overflow: an inf or nan entry fails
+    the Hermiticity check, or a finite matrix has levels beyond the float range.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            op = spec.sector(params, v, n)
+            eig = exact_diagonalize(op, keep_vectors)
+    except ValueError:
+        eig = None
+    if eig is None or not np.isfinite(eig.energies).all():
+        raise ConfigError(f"model fields {json.dumps(params, sort_keys=True)} at coupling "
+                          f"v={v:.12g} give a Hamiltonian beyond the float range")
+    return op, eig
+
+
+def _levels(spec: _Model, params: dict, v: float) -> list:
+    """Each sector's ascending levels at coupling v, one sector built and dropped at a time."""
+    return [_solve_sector(spec, params, v, n)[1].energies for n in spec.numbers(params)]
+
+
+def _ground_sector(spec: _Model, params: dict, v: float, levels: list):
+    """``_solve_sector`` with vectors for the lowest particle number whose lowest
+    level in ``levels`` lies within DEGENERACY_TOL of the ground energy."""
     e0 = min(e[0] for e in levels)
-    return next(k for k, e in enumerate(levels) if e[0] - e0 <= DEGENERACY_TOL)
+    k = next(k for k, e in enumerate(levels) if e[0] - e0 <= DEGENERACY_TOL)
+    return _solve_sector(spec, params, v, spec.numbers(params)[k], keep_vectors=True)
 
 
 def _spectrum_at(cfg: dict, v: float, beta: float):
     """Probability spectrum and free-mode count for one grid point.
 
-    Each particle-number sector is diagonalized on its own.  The entanglement
-    spectrum is that of the ground state of the lowest particle number whose
-    lowest level lies within DEGENERACY_TOL of the ground energy.
+    Each particle-number sector is built and diagonalized on its own, without
+    vectors.  The entanglement spectrum is that of the ground state of the
+    ground sector (``_ground_sector``), rebuilt with vectors.
     """
     spec, params = _configured_model(cfg)
-    sectors = spec.sectors(params, v)
-    levels = [exact_diagonalize(op, keep_vectors=False).energies for op in sectors]
+    levels = _levels(spec, params, v)
     energies = np.sort(np.concatenate(levels))
     if cfg["quantity"] == "thermal":
         return thermal_probabilities(energies, beta), spec.thermal_modes(params)
@@ -276,10 +303,9 @@ def _spectrum_at(cfg: dict, v: float, beta: float):
     if gap <= DEGENERACY_TOL:
         warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {gap:.3g}): the "
                       "entanglement spectrum is that of one of the ground states", stacklevel=2)
-    ground = sectors[_ground_sector(levels)]
+    ground, eig = _ground_sector(spec, params, v, levels)
     region = spec.region(params)
-    state = exact_diagonalize(ground).vectors[:, 0]
-    return reduced_density_spectrum(state, ground.basis, region), len(region)
+    return reduced_density_spectrum(eig.vectors[:, 0], ground.basis, region), len(region)
 
 
 def _sweep_point(cfg: dict, point) -> dict:
@@ -306,26 +332,30 @@ def _perturbative_context(cfg: dict):
 
     Thermal: (unperturbed energies, first-order energy per unit coupling,
     occupation pattern of each level).  Entanglement: (r0, slope) of the
-    ground state's reduced density spectrum.  Computed once per run, sector by
-    sector; each grid point only evaluates the closed form at its coupling.
+    ground state's reduced density spectrum.  Computed once per run, one sector
+    at a time; each grid point only evaluates the closed form at its coupling.
     """
     spec, params = _configured_model(cfg)
-    sectors = spec.sectors(params, 0.0)
-    eigs = [exact_diagonalize(op) for op in sectors]
     coupling = spec.interaction(params)
-    units = [density_density_diagonal(op.basis, coupling) for op in sectors]
     if cfg["quantity"] == "entanglement":
-        k = _ground_sector([eig.energies for eig in eigs])
-        return first_order_reduced_density(eigs[k], units[k], sectors[k].basis, spec.region(params))
-    slopes = [resolve_degeneracies(eig, unit)[0] for eig, unit in zip(eigs, units)]
-    energies = np.concatenate([eig.energies for eig in eigs])
+        ground, eig = _ground_sector(spec, params, 0.0, _levels(spec, params, 0.0))
+        return first_order_reduced_density(eig, density_density_diagonal(ground.basis, coupling),
+                                           ground.basis, spec.region(params))
+    splits = [_sector_split(spec, params, coupling, n) for n in spec.numbers(params)]
+    energies = np.concatenate([e for e, _ in splits])
     order = np.argsort(energies, kind="stable")
-    energies, slope = energies[order], np.concatenate(slopes)[order]
+    energies, slope = energies[order], np.concatenate([s for _, s in splits])[order]
     # the interaction conserves particle number, so a degenerate level splits into
     # the union of its sectors' splits, ascending as resolve_degeneracies orders it
     for group in degenerate_groups(energies):
         slope[group].sort()
     return energies, slope, infer_free_labeling(energies)[1]
+
+
+def _sector_split(spec: _Model, params: dict, coupling, n: int):
+    """One sector's unperturbed energies and first-order slopes per unit coupling."""
+    op, eig = _solve_sector(spec, params, 0.0, n, keep_vectors=True)
+    return eig.energies, resolve_degeneracies(eig, density_density_diagonal(op.basis, coupling))[0]
 
 
 def _compare_point(cfg: dict, context, point) -> dict:
@@ -402,8 +432,10 @@ def render_csv(cfg: dict, rows: list, kind: str) -> str:
 
 
 def render_jsonl(cfg: dict, rows: list) -> str:
-    lines = [{"config": cfg}] + rows
-    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    # RFC 8259 has no NaN: a non-finite cell (a failed first-order column) is written as null
+    lines = ({k: None if isinstance(x, float) and not math.isfinite(x) else x
+              for k, x in line.items()} for line in [{"config": cfg}] + rows)
+    return "".join(json.dumps(line, sort_keys=True, allow_nan=False) + "\n" for line in lines)
 
 
 def _emit(cfg: dict, rows: list, kind: str):

@@ -1,13 +1,12 @@
 """Fermionic Fock bases and dense many-body operator matrices.
 
 Basis states are occupation bitstrings stored as integers with mode 0 on the
-least significant bit; a basis keeps them both as a tuple of Python ints and
-as an ``int64`` array, and every builder works on the array with numpy bit
-operations (``popcount``).  Operators are lifted to the many-body space with
+least significant bit, held in one ``int64`` array; every builder works on
+that array with numpy bit operations (``popcount``).  ``build_basis`` lists
+the whole Fock space or the states of one particle number; any other set of
+states is given explicitly.  Operators are lifted to the many-body space with
 the usual anticommutation sign, counting occupied modes strictly below the
-mode acted on.  Spinful layouts place the up/down modes of site ``j`` at
-``2j`` / ``2j + 1`` so that spatial bipartitions stay contiguous in mode
-index.
+mode acted on.
 
 Every ``ManyBodyOperator`` records its particle-number blocks: the basis
 states grouped by occupation count when no matrix element connects two
@@ -22,8 +21,6 @@ import numpy as np
 
 MAX_MODES = 20
 HERMITICITY_TOL = 1e-12
-#: How far 2 * spin_z may sit from an integer.
-HALF_INTEGER_TOL = 1e-12
 
 _POPCOUNT8 = np.array([bin(k).count("1") for k in range(256)], dtype=np.int64)
 
@@ -37,47 +34,16 @@ def popcount(states) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Symmetry-sector constraint for basis construction.
-
-    n_particles restricts the total occupation.  spin_z restricts the total
-    spin projection (in units of hbar) and requires the spinful mode layout,
-    i.e. an even number of modes with even = up, odd = down.
-    """
-
-    n_particles: Optional[int] = None
-    spin_z: Optional[float] = None
-
-    def __post_init__(self):
-        if self.spin_z is not None and (abs(2 * self.spin_z - round(2 * self.spin_z))
-                                        > HALF_INTEGER_TOL):
-            raise ValueError(f"spin_z must be a half-integer, got {self.spin_z}")
-
-    def admits(self, states, n_modes: int):
-        """Whether a bitstring lies in the sector; elementwise for an array of them."""
-        s = np.asarray(states, dtype=np.int64)
-        n = popcount(s)
-        ok = np.ones(s.shape, dtype=bool)
-        if self.n_particles is not None:
-            ok &= n == self.n_particles
-        if self.spin_z is not None:
-            n_up = popcount(s & sum(1 << m for m in range(0, n_modes, 2)))
-            ok &= 2 * n_up - n == round(2 * self.spin_z)
-        return ok[()]
-
-
 class OccupationBasis:
     """Ordered collection of occupation bitstrings for ``n_modes`` fermionic modes.
 
     States are unique and kept in the order given (build_basis produces
-    ascending integer order), as the tuple ``states`` and the ``int64``
-    array ``state_array``.  ``index_of`` maps every bitstring over
-    ``n_modes`` to its basis index, -1 for bitstrings outside the basis.
-    Immutable after construction.
+    ascending integer order) as the ``int64`` array ``state_array``.
+    ``index_of`` maps every bitstring over ``n_modes`` to its basis index,
+    -1 for bitstrings outside the basis.  Immutable after construction.
     """
 
-    def __init__(self, n_modes: int, states, sector: Optional[Sector] = None):
+    def __init__(self, n_modes: int, states):
         if not 0 <= n_modes <= MAX_MODES:
             raise ValueError(f"n_modes must be in [0, {MAX_MODES}], got {n_modes}")
         arr = np.array(states, dtype=np.int64).reshape(-1)
@@ -88,46 +54,34 @@ class OccupationBasis:
         table[arr] = np.arange(arr.size)
         if (table[arr] != np.arange(arr.size)).any():
             raise ValueError("basis states must be unique")
-        if sector is not None:
-            bad = ~sector.admits(arr, n_modes)
-            if bad.any():
-                raise ValueError(f"state {int(arr[bad.argmax()]):b} violates the sector "
-                                 f"constraint {sector}")
         arr.flags.writeable = False
         table.flags.writeable = False
         self.n_modes = int(n_modes)
         self.state_array = arr
         self.index_of = table
-        self.states = tuple(arr.tolist())
-        self.sector = sector
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.state_array.size
 
     def occupation_matrix(self) -> np.ndarray:
         """0/1 matrix of shape (dim, n_modes): row k holds the occupations of state k."""
         return ((self.state_array[:, None] >> np.arange(self.n_modes)) & 1).astype(float)
 
-    def number_blocks(self) -> tuple:
-        """Basis indices grouped by particle number, ascending in number and in index."""
-        counts = popcount(self.state_array)
-        blocks = (np.flatnonzero(counts == n) for n in range(self.n_modes + 1))
-        return tuple(idx for idx in blocks if idx.size)
-
     def __repr__(self):
-        return f"OccupationBasis(n_modes={self.n_modes}, dim={self.dim}, sector={self.sector})"
+        return f"OccupationBasis(n_modes={self.n_modes}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
 class ManyBodyOperator:
     """Dense Hermitian matrix over an OccupationBasis (real entries).
 
-    ``blocks`` partitions the basis indices into the particle-number blocks
-    the matrix is block diagonal in: one block per occupation count when
-    every matrix element between different counts is exactly zero, else one
-    block holding the whole basis in basis order.  Validation is one pass:
-    the cross-number check plus Hermiticity of each block (within
+    ``blocks`` holds the particle-number blocks the matrix is block diagonal
+    in, as read-only (basis indices, sub-matrix) pairs: one block per
+    occupation count when every matrix element between different counts is
+    exactly zero, else one block holding the whole basis in basis order.  A
+    one-block operator's sub-matrix is ``matrix`` itself.  Validation is one
+    pass: the cross-number check plus Hermiticity of each block (within
     HERMITICITY_TOL), which together give Hermiticity of the whole matrix.
     """
 
@@ -139,62 +93,41 @@ class ManyBodyOperator:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (self.basis.dim, self.basis.dim):
             raise ValueError(f"matrix shape {m.shape} does not match basis dim {self.basis.dim}")
-        blocks = self.basis.number_blocks()
-        subs = [m[np.ix_(idx, idx)] for idx in blocks]
-        if sum(np.count_nonzero(s) for s in subs) != np.count_nonzero(m):
-            blocks, subs = (np.arange(self.basis.dim),), [m]
-        if not all(np.abs(s - s.T).max(initial=0.0) <= HERMITICITY_TOL for s in subs):
+        counts = popcount(self.basis.state_array)
+        groups = [np.flatnonzero(counts == n) for n in np.flatnonzero(np.bincount(counts))]
+        blocks = [(idx, m[np.ix_(idx, idx)]) for idx in groups] if len(groups) > 1 else []
+        if not blocks or sum(np.count_nonzero(s) for _, s in blocks) != np.count_nonzero(m):
+            blocks = [(np.arange(self.basis.dim), m)]
+        if not all(np.abs(s - s.T).max(initial=0.0) <= HERMITICITY_TOL for _, s in blocks):
             raise ValueError("operator matrix is not Hermitian")
         m.flags.writeable = False
+        for idx, s in blocks:
+            idx.flags.writeable = s.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
 
-def build_basis(n_modes: int, sector: Optional[Sector] = None) -> OccupationBasis:
+def build_basis(n_modes: int, n_particles: Optional[int] = None) -> OccupationBasis:
     """Enumerate the occupation basis, ascending in bitstring value.
 
     Parameters
     ----------
-    n_modes : number of fermionic modes, 1 <= n_modes <= 20.
-    sector  : optional Sector restriction; an unsatisfiable sector raises
-              rather than returning an empty basis.
+    n_modes     : number of fermionic modes, 1 <= n_modes <= 20.
+    n_particles : optional particle number the states must hold; a number
+                  no state holds raises rather than returning an empty basis.
     """
     if not 1 <= n_modes <= MAX_MODES:
         raise ValueError(f"n_modes must be in [1, {MAX_MODES}], got {n_modes}")
-    if sector is not None and sector.spin_z is not None and n_modes % 2:
-        raise ValueError("spin_z sector requires an even number of modes (spinful layout)")
     states = np.arange(1 << n_modes, dtype=np.int64)
-    if sector is not None:
-        states = states[sector.admits(states, n_modes)]
+    if n_particles is not None:
+        states = states[popcount(states) == n_particles]
         if not states.size:
-            raise ValueError(f"sector {sector} admits no states for {n_modes} modes")
-    return OccupationBasis(n_modes, states, sector)
-
-
-def hopping_element(state: int, i: int, j: int, n_modes: int):
-    """Apply c_i^dag c_j to a bitstring.
-
-    Returns (target_state, sign) with sign in {+1, -1}, or None when the
-    operator annihilates the state.  The sign counts occupied modes strictly
-    below the acted-on mode, once per leg.  i == j is the number operator.
-    This scalar form is the reference the array builders are tested against.
-    """
-    for m in (i, j):
-        if not 0 <= m < n_modes:
-            raise ValueError(f"mode index {m} out of range for {n_modes} modes")
-    if not (state >> j) & 1:
-        return None
-    sign = -1 if (state & ((1 << j) - 1)).bit_count() & 1 else 1
-    inter = state ^ (1 << j)
-    if (inter >> i) & 1:
-        return None
-    if (inter & ((1 << i) - 1)).bit_count() & 1:
-        sign = -sign
-    return inter | (1 << i), sign
+            raise ValueError(f"n_particles={n_particles} admits no states for {n_modes} modes")
+    return OccupationBasis(n_modes, states)
 
 
 def symmetric_matrix(value, n: int, what: str, size_name: str = "n_modes") -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis, build_quadratic,
+from .fock import (ManyBodyOperator, OccupationBasis, build_basis, build_quadratic,
                    density_density_diagonal, symmetric_matrix)
 from .spectra import MAX_DIM
 
@@ -34,8 +34,7 @@ class DimerParams:
     v: float = 0.0
 
 
-_DIMER_SECTOR_BASIS = OccupationBasis(4, (0b1100, 0b1001, 0b0110, 0b0011),
-                                     Sector(n_particles=2, spin_z=0.0))
+_DIMER_SECTOR_BASIS = OccupationBasis(4, (0b1100, 0b1001, 0b0110, 0b0011))
 
 
 def dimer_sector_basis() -> OccupationBasis:
@@ -128,7 +127,6 @@ class ChainParams:
 def spinless_chain(params: ChainParams, n_particles: int | None = None) -> ManyBodyOperator:
     """Hamiltonian of an open spinless chain over its full Fock space, or over
     the sector of ``n_particles`` particles when that is given."""
-    sector = None if n_particles is None else Sector(n_particles=n_particles)
-    basis = build_basis(params.n_sites, sector)
+    basis = build_basis(params.n_sites, n_particles)
     v_diag = density_density_diagonal(basis, params.interaction_matrix())
     return build_quadratic(basis, params.kernel(), diagonal=v_diag)

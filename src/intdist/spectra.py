@@ -81,17 +81,16 @@ def exact_diagonalize(op: ManyBodyOperator, keep_vectors: bool = True) -> EigenS
     """
     if op.dim > MAX_DIM:
         raise ValueError(f"operator dimension {op.dim} exceeds cap {MAX_DIM}")
-    subs = [op.matrix[np.ix_(idx, idx)] for idx in op.blocks]
     if not keep_vectors:
-        return EigenSystem(np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in subs])))
-    pairs = [np.linalg.eigh(m) for m in subs]
+        return EigenSystem(np.sort(np.concatenate([np.linalg.eigvalsh(m) for _, m in op.blocks])))
+    pairs = [np.linalg.eigh(m) for _, m in op.blocks]
     energies = np.concatenate([e for e, _ in pairs])
     order = np.argsort(energies, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     vectors = np.zeros((op.dim, op.dim))
     start = 0
-    for idx, (e, v) in zip(op.blocks, pairs):
+    for (idx, _), (e, v) in zip(op.blocks, pairs):
         vectors[np.ix_(idx, column[start:start + e.size])] = v
         start += e.size
     return EigenSystem(energies[order], vectors)
@@ -163,7 +162,7 @@ def reduced_density_spectrum(state, basis: OccupationBasis, region_a) -> Probabi
 
     Parameters
     ----------
-    state    : amplitude vector over basis.states, normalized within NORM_TOL.
+    state    : amplitude vector over basis.state_array, normalized within NORM_TOL.
     basis    : OccupationBasis the amplitudes refer to.
     region_a : iterable of mode indices kept after the partial trace.
     """

@@ -14,7 +14,7 @@ import pytest
 import intdist.cli
 from intdist.cli import (_FLAGS, _perturbative_context, _spectrum_at, main, render_csv,
                          run_compare, run_sweep, validate_config)
-from intdist.fock import density_density_diagonal
+from intdist.fock import density_density_diagonal, popcount
 from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_sector_basis,
                             hubbard_dimer, spinless_chain)
 from intdist.perturbation import (first_order_reduced_density, infer_free_labeling,
@@ -160,7 +160,7 @@ def test_degenerate_ground_state_takes_the_lowest_particle_number(monkeypatch):
 
     def recording(op, keep_vectors=True):
         if keep_vectors:
-            with_vectors.append(op.basis.sector.n_particles)
+            with_vectors.append(int(popcount(op.basis.state_array[0])))
         return exact_diagonalize(op, keep_vectors)
 
     monkeypatch.setattr(intdist.cli, "exact_diagonalize", recording)
@@ -178,6 +178,19 @@ def test_entanglement_point_allocates_no_full_space_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # one dense 4096 x 4096 float64 matrix alone is 128 MiB
+
+
+def test_perturbative_context_holds_one_sector_at_a_time():
+    # the n=12 sectors' operators and eigenvectors held together peak near 50 MiB;
+    # the largest sector, C(12, 6) = 924 states, needs about 7 MiB per dense matrix
+    cfg = _chain_cfg(12, 0.0, "thermal")
+    tracemalloc.start()
+    try:
+        _perturbative_context(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_chain_sweep_free_column(capsys):
@@ -393,6 +406,48 @@ _PRECEDENCE_CASES = {
     "--out": ("file.csv", "flag.csv"),
     "--format": ("csv", "jsonl"),
 }
+
+
+# finite configs whose Hamiltonian overflows the float range
+_OVERFLOW_CASES = {
+    "dimer-thermal": (["sweep"], {"model": {"type": "dimer", "t": 1e308}}),
+    "dimer-entanglement": (["sweep", "--quantity", "entanglement"],
+                           {"model": {"type": "dimer", "t": 1e308}}),
+    "chain-sweep": (["sweep", "--model", "chain", "--n-sites", "4", "--v-min", "1e308",
+                     "--v-max", "1e308"], {}),
+    "chain-compare": (["compare", "--model", "chain", "--n-sites", "4", "--v-min", "1e308",
+                       "--v-max", "1e308"], {}),
+}
+
+
+@pytest.mark.parametrize("argv, cfg", _OVERFLOW_CASES.values(), ids=list(_OVERFLOW_CASES))
+def test_overflowing_hamiltonian_is_a_config_error(argv, cfg, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, argv + ["--config", str(cfg_path), "--v-steps", "1",
+                                          "--restarts", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: model fields {")
+    assert "e+308" in err and "float range" in err
+
+
+def _no_nan(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_jsonl_writes_null_for_non_finite_values(capsys):
+    # the first-order entanglement spectrum fails at large coupling: perturbative is nan
+    argv = ["compare", "--quantity", "entanglement", "--v-min", "0", "--v-max", "40",
+            "--v-steps", "3", "--restarts", "4"]
+    code, out, _ = _run(capsys, argv + ["--format", "jsonl"])
+    assert code == 0
+    rows = [json.loads(line, parse_constant=_no_nan) for line in out.splitlines()][1:]
+    assert [r["perturbative"] is None for r in rows] == [False, True, True]
+    assert rows[1]["abs_diff"] is None and rows[1]["exact"] > 0
+    _, out, _ = _run(capsys, argv)
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
+    assert [r["perturbative"] == "nan" for r in rows] == [False, True, True]
 
 
 @pytest.mark.parametrize("flag", list(_FLAGS))

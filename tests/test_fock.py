@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from intdist.fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis,
-                          build_density_density, build_quadratic, hopping_element)
+from intdist.fock import (ManyBodyOperator, OccupationBasis, build_basis, build_density_density,
+                          build_quadratic)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -33,23 +33,40 @@ def number_matrix(j, n_modes):
     return c.T @ c
 
 
+# ------------------------------------------------------------ scalar reference
+# One state at a time; test_properties checks build_quadratic against it.
+
+
+def hopping_element(state: int, i: int, j: int, n_modes: int):
+    """Apply c_i^dag c_j to a bitstring.
+
+    Returns (target_state, sign) with sign in {+1, -1}, or None when the
+    operator annihilates the state.  The sign counts occupied modes strictly
+    below the acted-on mode, once per leg.  i == j is the number operator.
+    """
+    for m in (i, j):
+        if not 0 <= m < n_modes:
+            raise ValueError(f"mode index {m} out of range for {n_modes} modes")
+    if not (state >> j) & 1:
+        return None
+    sign = -1 if (state & ((1 << j) - 1)).bit_count() & 1 else 1
+    inter = state ^ (1 << j)
+    if (inter >> i) & 1:
+        return None
+    if (inter & ((1 << i) - 1)).bit_count() & 1:
+        sign = -sign
+    return inter | (1 << i), sign
+
+
 def test_build_basis_single_mode():
     basis = build_basis(1)
-    assert basis.states == (0, 1)
+    assert basis.state_array.tolist() == [0, 1]
     assert basis.dim == 2
 
 
 def test_build_basis_one_particle_sector():
-    basis = build_basis(2, Sector(n_particles=1))
-    assert basis.states == (1, 2)
-
-
-def test_build_basis_dimer_sz0_sector():
-    # spinful layout, 2 sites, half filling, S_z = 0: four states
-    basis = build_basis(4, Sector(n_particles=2, spin_z=0.0))
-    assert basis.dim == 4
-    assert set(basis.states) == {0b0011, 0b0110, 0b1001, 0b1100}
-    assert list(basis.states) == sorted(basis.states)
+    basis = build_basis(2, n_particles=1)
+    assert basis.state_array.tolist() == [1, 2]
 
 
 def test_build_basis_unconstrained_count():
@@ -65,12 +82,7 @@ def test_build_basis_rejects_bad_mode_count(n_modes):
 
 def test_build_basis_rejects_empty_sector():
     with pytest.raises(ValueError, match="admits no states"):
-        build_basis(2, Sector(n_particles=3))
-
-
-def test_build_basis_rejects_spin_sector_on_odd_modes():
-    with pytest.raises(ValueError, match="even number of modes"):
-        build_basis(3, Sector(spin_z=0.5))
+        build_basis(2, n_particles=3)
 
 
 def test_hopping_no_intervening_modes():
@@ -166,8 +178,8 @@ def test_build_quadratic_rejects_bad_kernel():
 
 
 def test_build_quadratic_rejects_sector_escape():
-    # spin-flipping kernel element leaves the S_z = 0 sector
-    basis = build_basis(4, Sector(n_particles=2, spin_z=0.0))
+    # spin-flipping kernel element leaves the S_z = 0 sector of two spinful sites
+    basis = OccupationBasis(4, (0b0011, 0b0110, 0b1001, 0b1100))
     h = np.zeros((4, 4))
     h[0, 1] = h[1, 0] = 1.0
     with pytest.raises(ValueError, match="outside the basis sector"):
@@ -183,8 +195,7 @@ def test_density_density_pair_interaction():
 
 
 def test_density_density_dimer_sector():
-    basis = OccupationBasis(4, (0b1100, 0b1001, 0b0110, 0b0011),
-                            Sector(n_particles=2, spin_z=0.0))
+    basis = OccupationBasis(4, (0b1100, 0b1001, 0b0110, 0b0011))
     vmat = np.zeros((4, 4))
     vmat[0, 1] = vmat[1, 0] = 0.5
     vmat[2, 3] = vmat[3, 2] = 0.5
@@ -237,6 +248,15 @@ def test_many_body_operator_validation():
         ManyBodyOperator(basis, np.zeros((3, 3)))
 
 
+def test_one_block_operator_holds_its_matrix_as_the_block():
+    # a one-particle-number basis is one block, kept without a copy
+    op = build_quadratic(build_basis(6, n_particles=3), np.ones((6, 6)))
+    ((idx, block),) = op.blocks
+    np.testing.assert_array_equal(idx, np.arange(op.dim))
+    assert np.shares_memory(block, op.matrix)
+    assert not block.flags.writeable and not idx.flags.writeable
+
+
 def test_basis_rejects_duplicates_and_out_of_range():
     with pytest.raises(ValueError, match="unique"):
         OccupationBasis(2, (1, 1))
@@ -244,5 +264,3 @@ def test_basis_rejects_duplicates_and_out_of_range():
         OccupationBasis(2, (0, 4))
     with pytest.raises(ValueError, match="n_modes"):
         OccupationBasis(21, (0,))
-    with pytest.raises(ValueError, match="sector"):
-        OccupationBasis(2, (0, 1), Sector(n_particles=1))

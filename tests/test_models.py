@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from intdist.distance import OptimizerOptions, interaction_distance
-from intdist.fock import Sector, build_basis, build_quadratic, density_density_diagonal
+from intdist.fock import build_basis, build_quadratic, density_density_diagonal
 from intdist.free_fermion import FreeSpectrumParams, diagonalize_kernel, free_many_body_spectrum
 from intdist.models import (ChainParams, DimerParams, dimer_interaction_matrix, dimer_kernel,
                             dimer_sector_basis, hubbard_dimer, spinless_chain)
@@ -47,9 +47,12 @@ def test_dimer_interaction_part():
 
 
 def test_dimer_sector_basis_ordering():
-    basis = dimer_sector_basis()
-    assert basis.states == (0b1100, 0b1001, 0b0110, 0b0011)
-    assert basis.sector == Sector(n_particles=2, spin_z=0.0)
+    states = dimer_sector_basis().state_array.tolist()
+    assert states == [0b1100, 0b1001, 0b0110, 0b0011]
+    # modes 0, 2 are spin up and 1, 3 spin down: two particles, S_z = 0 in every state
+    for s in states:
+        up, down = (s & 0b0101).bit_count(), (s & 0b1010).bit_count()
+        assert (up + down, up - down) == (2, 0)
 
 
 def test_dimer_full_space_commutes_with_spin_projection():
@@ -64,7 +67,7 @@ def test_dimer_sector_is_block_of_full_hamiltonian():
     params = DimerParams(v=2.4)
     h_sector, _ = hubbard_dimer(params)
     h_full = hubbard_dimer_full(params)
-    idx = [h_full.basis.index_of[s] for s in dimer_sector_basis().states]
+    idx = h_full.basis.index_of[dimer_sector_basis().state_array].tolist()
     np.testing.assert_allclose(h_sector.matrix, h_full.matrix[np.ix_(idx, idx)], atol=1e-14)
     # no matrix elements leak out of the sector
     others = [i for i in range(16) if i not in idx]

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from intdist.fock import (ManyBodyOperator, OccupationBasis, Sector, build_basis,
-                          build_quadratic, hopping_element, popcount)
+from intdist.fock import ManyBodyOperator, OccupationBasis, build_basis, build_quadratic, popcount
 from intdist.models import ChainParams, spinless_chain
 from intdist.spectra import _bipartition_tables, exact_diagonalize
+from test_fock import hopping_element
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -22,7 +22,7 @@ PROPERTY = settings(max_examples=60, deadline=None)
 def _scalar_quadratic(basis, h):
     n = basis.n_modes
     mat = np.zeros((basis.dim, basis.dim))
-    for col, s in enumerate(basis.states):
+    for col, s in enumerate(basis.state_array.tolist()):
         for i in range(n):
             for j in range(n):
                 if h[i, j] == 0.0:
@@ -39,7 +39,7 @@ def _scalar_bipartition(basis, a_modes):
     # modes passed before each occupied B mode
     b_modes = [m for m in range(basis.n_modes) if m not in a_modes]
     rows, cols, signs = [], [], []
-    for s in basis.states:
+    for s in basis.state_array.tolist():
         a = b = inversions = seen_a = 0
         for m in range(basis.n_modes - 1, -1, -1):
             if not (s >> m) & 1:
@@ -67,13 +67,9 @@ def kernels(draw, max_modes=8):
 @st.composite
 def bases(draw, n_modes, fixed_number):
     """Full or fixed-particle-number basis over n_modes, optionally shuffled."""
-    if fixed_number:
-        sector = Sector(n_particles=draw(st.integers(0, n_modes)))
-        states = build_basis(n_modes, sector).states
-    else:
-        sector, states = None, build_basis(n_modes).states
-    states = draw(st.permutations(states))
-    return OccupationBasis(n_modes, states, sector)
+    n_particles = draw(st.integers(0, n_modes)) if fixed_number else None
+    states = draw(st.permutations(build_basis(n_modes, n_particles).state_array.tolist()))
+    return OccupationBasis(n_modes, states)
 
 
 @PROPERTY
@@ -87,24 +83,13 @@ def test_build_quadratic_matches_scalar_reference(data, h, fixed_number):
 @PROPERTY
 @given(st.integers(1, 10), st.data())
 def test_sector_basis_matches_scalar_filter(n, data):
-    sector = Sector(n_particles=data.draw(st.none() | st.integers(0, n)),
-                    spin_z=data.draw(st.none() | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
-                    if n % 2 == 0 else None)
-    expected = []
-    for s in range(1 << n):
-        n_up = sum((s >> m) & 1 for m in range(0, n, 2))
-        if sector.n_particles is not None and s.bit_count() != sector.n_particles:
-            continue
-        if sector.spin_z is not None and 2 * n_up - s.bit_count() != round(2 * sector.spin_z):
-            continue
-        expected.append(s)
-    assert [bool(sector.admits(s, n)) for s in range(1 << n)] == [
-        s in set(expected) for s in range(1 << n)]
+    n_particles = data.draw(st.none() | st.integers(0, n + 1))
+    expected = [s for s in range(1 << n) if n_particles in (None, s.bit_count())]
     if expected:
-        assert build_basis(n, sector).states == tuple(expected)
+        assert build_basis(n, n_particles).state_array.tolist() == expected
     else:
         with pytest.raises(ValueError, match="admits no states"):
-            build_basis(n, sector)
+            build_basis(n, n_particles)
 
 
 @PROPERTY
@@ -152,11 +137,12 @@ def test_blocked_diagonalization_matches_dense(n, seed, mixing, data):
     counts = popcount(basis.state_array)
     if mixing:
         assert len(op.blocks) == 1
-        np.testing.assert_array_equal(op.blocks[0], np.arange(basis.dim))
+        np.testing.assert_array_equal(op.blocks[0][0], np.arange(basis.dim))
     else:
         assert len(op.blocks) == n + 1
-        for idx in op.blocks:
+        for idx, block in op.blocks:
             assert np.unique(counts[idx]).size == 1
+            np.testing.assert_array_equal(block, m[np.ix_(idx, idx)])
     eig = exact_diagonalize(op)
     _check_eigensystem(op, eig)
     if not mixing:

@@ -148,7 +148,7 @@ def test_reduced_density_sector_matches_full_embedding():
     sector = dimer_sector_basis()
     full = build_basis(4)
     embedded = np.zeros(full.dim)
-    for amp, state in zip(eig.vectors[:, 0], sector.states):
+    for amp, state in zip(eig.vectors[:, 0], sector.state_array.tolist()):
         embedded[full.index_of[state]] = amp
     p_sector = reduced_density_spectrum(eig.vectors[:, 0], sector, (0, 1)).probs
     p_full = reduced_density_spectrum(embedded, full, (0, 1)).probs
@@ -179,7 +179,7 @@ def _random_parity_state(rng, basis):
     # number have no consistent mode partial trace
     parity = int(rng.integers(0, 2))
     psi = rng.standard_normal(basis.dim)
-    for idx, state in enumerate(basis.states):
+    for idx, state in enumerate(basis.state_array.tolist()):
         if state.bit_count() % 2 != parity:
             psi[idx] = 0.0
     return psi / np.linalg.norm(psi)
