@@ -226,9 +226,10 @@ def validate_config(raw: dict) -> dict:
     merged = _merge(_DEFAULT_CONFIG["optimizer"], opt)
     unknown = set(merged) - set(_DEFAULT_CONFIG["optimizer"])
     _require(not unknown, f"optimizer has unknown fields {sorted(unknown)}")
-    for key, lowest in (("seed", 0), ("restarts", 1), ("max_iter", 1)):
-        _require(_is_int(merged[key]), f"optimizer.{key} must be an integer")
-        _require(merged[key] >= lowest, f"optimizer.{key} must be >= {lowest}")
+    try:
+        OptimizerOptions(**merged)
+    except ValueError as exc:
+        raise ConfigError(f"optimizer.{exc}") from exc
     cfg["optimizer"] = merged
 
     out = cfg.get("output", {})

@@ -42,10 +42,13 @@ class OptimizerOptions:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name, lowest in (("seed", 0), ("restarts", 1), ("max_iter", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < lowest:
+                raise ValueError(f"{name} must be >= {lowest}, got {value}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -116,16 +119,24 @@ def _objective_factory(target_desc: np.ndarray, beta: float):
     return objective
 
 
+#: Most modes for which a simplex step evaluates all four candidate points in one call;
+#: above 64 levels the two discarded candidates cost more than a second call.
+FUSED_STEP_MAX_MODES = 6
+
 #: Nelder-Mead step kinds and their points c1*xbar - c2*w (w the worst vertex):
-#: 0 expansion, 1 reflection, 2 outside and 3 inside contraction (0.5*xbar + 0.5*w,
-#: since a - (-b) == a + b in floating point).
-_STEP_C1 = np.array([3.0, 2.0, 1.5, 0.5])
-_STEP_C2 = np.array([2.0, 1.0, 0.5, -0.5])
+#: 0 expansion, 1 reflection (2*xbar - w, since 1.0*w == w), 2 outside and 3 inside
+#: contraction (0.5*xbar + 0.5*w, since a - (-b) == a + b in floating point).
+_STEP_C1 = np.array([3.0, 2.0, 1.5, 0.5])[:, None]
+_STEP_C2 = np.array([2.0, 1.0, 0.5, -0.5])[:, None]
+#: The step's new last vertex by 2*kind + better: the point of that kind, or 4 for w.
+#: An expansion no better than the reflection keeps the reflection, a contraction that
+#: is no better keeps w and shrinks the simplex, and a reflection is never "better".
+_NEW_VERTEX = np.array([1, 0, 1, 1, 4, 2, 4, 3])
 
 
-def _sorted_simplices(sim, fsim):
-    rows, ind = np.arange(fsim.shape[0])[:, None], fsim.argsort(1)
-    return sim[rows, ind], fsim[rows, ind]
+def _sorted_simplices(sim, fsim, at):
+    at, ind = at[:, None], fsim.argsort(1)
+    return sim[at, ind], fsim[at, ind]
 
 
 def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
@@ -134,13 +145,16 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
     Row r repeats, operation for operation, SciPy's
     ``minimize(objective, x0[r], method="Nelder-Mead")`` with maxiter=max_iter,
     maxfev=4*max_iter and the SIMPLEX_ tolerances: the same vertex arithmetic,
-    comparisons, sorts and budget cut-offs.  A step evaluates the reflections of
-    all live rows in one call, then their second points in one call; no call
-    holds more points than x0 has rows.  Returns (x, fun, nit, success), one
-    entry per row, bitwise equal to that call's fields.
+    comparisons, sorts and budget cut-offs.  A step builds the four candidate
+    points of every live row.  Up to FUSED_STEP_MAX_MODES modes one objective call
+    evaluates all of them and the second point is selected, not evaluated; larger
+    fits evaluate the reflections in one call and then the second points in
+    another.  The budget counts only the points SciPy evaluates.  Returns
+    (x, fun, nit, success), one entry per row, bitwise equal to that call's fields.
     """
     m, n = x0.shape
     maxfev = 4 * max_iter
+    fused = n <= FUSED_STEP_MAX_MODES
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     k = np.arange(n)
     sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
@@ -148,40 +162,59 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
     count = min(n + 1, maxfev)  # the budget may end before the last vertex
     for j in range(count):
         fsim[:, j] = objective(sim[:, j])
-    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim))
+    at = np.arange(m)
+    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim, at), at)
     fcalls, nit, rows = np.full(m, count), np.ones(m, int), np.arange(m)
     x, fun, nits, success = np.empty((m, n)), np.empty(m), np.empty(m, int), np.empty(m, bool)
+    first = np.ones((m, 4), bool)  # fr < f0, fr < f2, fr < f1, True: the kind is the first true
+    ends = np.array([0, n - 1, n])
+    step = 0
     while rows.size:
-        spent = (fcalls >= maxfev) | (nit >= max_iter)
-        x_spread = np.abs(sim[:, 1:] - sim[:, :1]).reshape(rows.size, -1).max(1)
-        f_spread = np.abs(fsim[:, 1:] - fsim[:, :1]).max(1)
-        done = spent | ((x_spread <= SIMPLEX_XATOL) & (f_spread <= SIMPLEX_FATOL))
-        if done.any():
+        # a row has made at most count + step*(n+2) calls and step+1 iterations so far,
+        # so the budget tests below cannot fire until these bounds reach the budget
+        tight = count + step * (n + 2) >= maxfev - 1 or step + 1 >= max_iter
+        step += 1
+        # rows are sorted ascending, NaN last: SciPy's max|f_j - f_0| is the last minus the first
+        done = fsim[:, -1] - fsim[:, 0] <= SIMPLEX_FATOL
+        if np.logical_or.reduce(done):
+            size = np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]).reshape(rows.size, -1), 1)
+            done &= size <= SIMPLEX_XATOL
+        if tight:
+            done |= (fcalls >= maxfev) | (nit >= max_iter)
+        if np.logical_or.reduce(done):
             r = rows[done]
             x[r], fun[r], nits[r] = sim[done, 0], fsim[done].min(1), nit[done]
-            success[r] = ~spent[done]
+            success[r] = (fcalls[done] < maxfev) & (nit[done] < max_iter)
             live = ~done
             rows, sim, fsim, fcalls, nit = rows[live], sim[live], fsim[live], fcalls[live], nit[live]
+            at, first = at[:rows.size], first[:rows.size]
             if not rows.size:
                 break
         xbar = np.add.reduce(sim[:, :-1], 1) / n
-        w = sim[:, -1]
-        xr = 2 * xbar - w
-        fr = objective(xr)
-        f0, f2, f1 = fsim[:, 0], fsim[:, -2], fsim[:, -1]  # a NaN fr falls through to kind 3
-        kind = np.where(fr < f0, 0, np.where(fr < f2, 1, np.where(fr < f1, 2, 3)))
-        go = (kind != 1) & (fcalls < maxfev - 1)  # else the second call overruns the budget
-        xs = _STEP_C1[kind, None] * xbar - _STEP_C2[kind, None] * w
-        fs = fr.copy()
-        fs[go] = objective(xs[go])
+        pts = _STEP_C1 * xbar[:, None] - _STEP_C2 * sim[:, -1, None]  # row, kind, mode
+        if fused:
+            f = objective(pts)
+        else:
+            f = np.empty((rows.size, 4))
+            f[:, 1] = objective(pts[:, 1])
+        fr, f1 = f[:, 1], fsim[:, -1]
+        np.less(fr[:, None], fsim.take(ends, 1), out=first[:, :3])
+        kind = first.argmax(1)  # a NaN fr is kind 3
+        go = kind != 1
+        if tight:
+            go &= fcalls < maxfev - 1  # else the second point overruns the budget
+        if not fused:
+            f[go, kind[go]] = objective(pts[go, kind[go]])
         fcalls += 1 + go
+        fs = f[at, kind]  # a two-call fit leaves it unevaluated where go is false: w stays
         better = np.where(kind == 2, fs <= fr, fs < np.where(kind == 3, f1, fr))
-        ok = go | (kind == 1)
-        failed = go & (kind > 1) & ~better  # a contraction that did not improve: shrink
-        replace = ok & ~failed
-        sim[:, -1] = np.where(replace[:, None], np.where(better[:, None], xs, xr), w)
-        fsim[:, -1] = np.where(replace, np.where(better, fs, fr), f1)
-        shrink = np.flatnonzero(failed)
+        choice = _NEW_VERTEX.take(2 * kind + better)
+        counted = go | (kind == 1)  # else the budget ran out before the second point
+        if tight:
+            choice[~counted] = 4
+        new = (choice < 4).nonzero()[0]
+        sim[new, -1], fsim[new, -1] = pts[new, choice[new]], f[new, choice[new]]
+        shrink = (go & (choice == 4)).nonzero()[0]
         if shrink.size:
             budget = maxfev - fcalls[shrink]
             for j in range(1, n + 1):  # vertex j is written before its call, which may overrun
@@ -189,9 +222,9 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
                 sim[reach, j] = sim[reach, 0] + 0.5 * (sim[reach, j] - sim[reach, 0])
                 fsim[call, j] = objective(sim[call, j])
             fcalls[shrink] += np.minimum(budget, n)
-            ok[shrink[budget < n]] = False
-        nit += ok
-        sim, fsim = _sorted_simplices(sim, fsim)
+            counted[shrink[budget < n]] = False
+        nit += counted
+        sim, fsim = _sorted_simplices(sim, fsim, at)
     return x, fun, nits, success
 
 

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from intdist.distance import (FLOOR_TOL, SIMPLEX_FATOL, SIMPLEX_XATOL, DistanceResult,
-                              OptimizerOptions, _lockstep_nelder_mead, _objective_factory,
-                              df_upper_bound, interaction_distance, trace_distance_sorted)
+from intdist.distance import (FLOOR_TOL, FUSED_STEP_MAX_MODES, SIMPLEX_FATOL, SIMPLEX_XATOL,
+                              DistanceResult, OptimizerOptions, _lockstep_nelder_mead,
+                              _objective_factory, df_upper_bound, interaction_distance,
+                              trace_distance_sorted)
 from intdist.free_fermion import FreeSpectrumParams, free_probabilities, subset_sums
 from intdist.models import DimerParams, hubbard_dimer
 from intdist.spectra import exact_diagonalize, thermal_probabilities
@@ -215,10 +216,30 @@ def test_canonical_epsilons_are_sorted_absolute_values():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^restarts must be >= 1"):
         OptimizerOptions(restarts=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_iter must be >= 1"):
         OptimizerOptions(max_iter=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        OptimizerOptions(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    # without the check a float reaches range() or numpy's generator or becomes a
+    # fractional budget, and True is reported as the restart count
+    ("restarts", 2.5), ("max_iter", 10.5), ("restarts", True), ("seed", 1.5),
+    ("max_iter", np.True_), ("seed", "7"),
+])
+def test_options_reject_non_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        OptimizerOptions(**{field: value})
+
+
+def test_options_store_numpy_integers_as_plain_ints():
+    opts = OptimizerOptions(seed=np.uint64(7), restarts=np.int32(3), max_iter=np.int64(40))
+    assert (opts.seed, opts.restarts, opts.max_iter) == (7, 3, 40)
+    assert all(type(v) is int for v in (opts.seed, opts.restarts, opts.max_iter))
+    assert interaction_distance(_dimer_thermal(0.5), 2, 1.0, opts).optimizer_info["restarts"] == 3
 
 
 def test_objective_matches_allocating_expression_bitwise():
@@ -273,6 +294,13 @@ def test_batched_subset_sums_and_objective_rows_match_1d_calls_bitwise():
 @given(st.integers(1, 8), st.sampled_from([1, 2, 3, 40, 5000]), st.floats(0.1, 10.0),
        st.integers(0, 2**32 - 1))
 @example(6, 2, 1.0, 8)  # 7 vertex calls and a reflection leave no call for the second point
+# the largest fused fit and the smallest two-call one, with budgets that end
+# before the simplex is complete, before the second point and inside a shrink
+@example(6, 1, 1.0, 9)
+@example(6, 3, 0.7, 10)
+@example(7, 1, 1.0, 11)
+@example(7, 2, 1.0, 12)
+@example(7, 3, 0.7, 13)
 def test_lockstep_search_matches_scipy_nelder_mead_bitwise(n, max_iter, beta, seed):
     # max_iter=1 leaves 4 calls, fewer than the 6+ vertices of a 5+ mode simplex
     rng = np.random.default_rng(seed)
@@ -293,3 +321,31 @@ def test_lockstep_search_matches_scipy_nelder_mead_bitwise(n, max_iter, beta, se
         assert res.x.tobytes() == x[r].tobytes()
         assert np.float64(res.fun).tobytes() == fun[r].tobytes()
         assert (res.nit, res.success) == (nit[r], success[r])
+
+
+@pytest.mark.parametrize("n", [2, FUSED_STEP_MAX_MODES + 1])
+def test_fused_step_makes_one_objective_call(n):
+    # up to FUSED_STEP_MAX_MODES modes a step is one call on every live row's four
+    # candidates; only a shrink adds calls, one per moved vertex.  Larger fits call
+    # on the reflections and then on the second points.
+    rng = np.random.default_rng(46)
+    target = np.sort(_random_probs(rng, 1 << n) ** 4)[::-1]
+    objective = _objective_factory(target / target.sum(), 1.0)
+    shapes = []
+
+    def recorded(eps):
+        shapes.append(eps.shape)
+        return objective(eps)
+
+    x0 = rng.uniform(0.0, 3.0, (5, n))
+    _, _, nit, success = _lockstep_nelder_mead(recorded, x0, 5000)
+    assert success.all()
+    calls = shapes[n + 1:]  # after the vertices of the first simplex
+    steps = [i for i, shape in enumerate(calls) if len(shape) == 3]
+    if n > FUSED_STEP_MAX_MODES:  # no call holds more points than there are rows
+        assert not steps and all(shape[0] <= len(x0) for shape in calls)
+        return
+    assert len(steps) == nit.max() - 1  # every step counts an iteration of each live row
+    assert all(calls[i][1:] == (4, n) for i in steps)
+    between = np.diff(steps + [len(calls)]) - 1
+    assert set(between) <= {0, n} and n in between  # 0 extra calls, or a shrink's n
