@@ -107,14 +107,14 @@ def _objective_factory(target_desc: np.ndarray, beta: float):
         # one value per row of eps, a scalar for 1-D eps; boltzmann_weights is inlined
         # and worked in place: a fit makes hundreds to thousands of batched calls
         q = subset_sums(eps)
-        q -= q.min(axis=-1, keepdims=True)
+        q -= np.minimum.reduce(q, -1, keepdims=True)
         q *= -beta
         np.exp(q, out=q)
-        q /= q.sum(axis=-1, keepdims=True)
+        q /= np.add.reduce(q, -1, keepdims=True)
         q.sort()
         np.subtract(target, q, out=q)
         np.abs(q, out=q)
-        return 0.5 * q.sum(axis=-1)
+        return 0.5 * np.add.reduce(q, -1)
 
     return objective
 
@@ -123,20 +123,86 @@ def _objective_factory(target_desc: np.ndarray, beta: float):
 #: above 64 levels the two discarded candidates cost more than a second call.
 FUSED_STEP_MAX_MODES = 6
 
-#: Nelder-Mead step kinds and their points c1*xbar - c2*w (w the worst vertex):
-#: 0 expansion, 1 reflection (2*xbar - w, since 1.0*w == w), 2 outside and 3 inside
-#: contraction (0.5*xbar + 0.5*w, since a - (-b) == a + b in floating point).
-_STEP_C1 = np.array([3.0, 2.0, 1.5, 0.5])[:, None]
-_STEP_C2 = np.array([2.0, 1.0, 0.5, -0.5])[:, None]
-#: The step's new last vertex by 2*kind + better: the point of that kind, or 4 for w.
-#: An expansion no better than the reflection keeps the reflection, a contraction that
-#: is no better keeps w and shrinks the simplex, and a reflection is never "better".
-_NEW_VERTEX = np.array([1, 0, 1, 1, 4, 2, 4, 3])
+#: Slots of a row's step block: the reflection 2*xbar - w (since 1.0*w == w), the
+#: expansion, the outside and the inside contraction 0.5*xbar + 0.5*w (since a - (-b) ==
+#: a + b in floating point), each c1*xbar - c2*w for the worst vertex w; then copies of
+#: the worst, the best and the second-worst vertex.  Column 0 of a slot is its value.
+_R, _E, _OC, _IC, _W = range(5)
+_STEP_C1 = np.array([2.0, 3.0, 1.5, 0.5])[:, None]
+_STEP_C2 = np.array([1.0, 2.0, 0.5, -0.5])[:, None]
 
 
-def _sorted_simplices(sim, fsim, at):
-    at, ind = at[:, None], fsim.argsort(1)
-    return sim[at, ind], fsim[at, ind]
+def _scipy_step(fr_lt_fw, fr_lt_f0, fr_lt_fs, fe_lt_fr, fic_lt_fw, foc_le_fr):
+    """SciPy's Nelder-Mead step from its comparisons: (new last vertex, calls, shrink).
+
+    f0, fs and fw are the best, second-worst and worst vertex values.  A comparison
+    with NaN is false, so a NaN reflection contracts inside and a NaN contraction
+    shrinks.  A shrink keeps w as the last vertex, then moves every vertex but the best.
+    """
+    if fr_lt_f0:
+        return (_E if fe_lt_fr else _R), 2, 0
+    if fr_lt_fs:
+        return _R, 1, 0
+    if fr_lt_fw:
+        return (_OC, 2, 0) if foc_le_fr else (_W, 2, 1)
+    return (_IC, 2, 0) if fic_lt_fw else (_W, 2, 1)
+
+
+#: _scipy_step for each of the 64 outcomes of its comparisons (argument k is bit k of
+#: the index), one column per outcome.
+_STEP_TABLE = np.array([_scipy_step(*(i >> k & 1 for k in range(6))) for i in range(64)]).T
+#: The step of a row whose second point would overrun the budget: w stays, one call.
+_BUDGET_CUT = np.array([[_W], [1], [0]])
+
+
+class _Simplices:
+    """The live rows' simplices and step blocks, and the views a step works through.
+
+    Row r's simplex S[r] is an (n+1, 1+n) block, each vertex its value and then its
+    point, sorted by value (NaN last) between steps; T[r] receives it sorted.  Its step
+    block C[r] holds the _R.._W slots, value first, and B[r] _scipy_step's comparisons,
+    one per bit.  The views are taken once per set of live rows: slicing costs as much
+    as the small ufunc calls of a step.
+    """
+
+    def __init__(self, S, T, C, B):
+        self.S, self.T, self.C, self.B = S, T, C, B
+        m, size = S.shape[:2]
+        self.at, self.first = np.arange(m), np.arange(0, m * size, size)[:, None]
+        self.f, self.f0, self.fw = S[:, :, 0], S[:, 0, 0], S[:, -1, 0]
+        self.head, self.last, self.flat = S[:, :-1, 1:], S[:, -1], S.reshape(m * size, -1)
+        self.points, self.ends, self.w = C[:, :_W, 1:], C[:, _W:], C[:, _W, None, 1:]
+        F = C[:, :, 0]
+        self.values, self.fr, self.fr_col, self.f_ends = F[:, :_W], F[:, _R], F[:, :1], F[:, _W:]
+        self.f_e_ic, self.f_r_w, self.f_oc = F[:, _E:_W:2], F[:, :_W + 1:_W], F[:, _OC]
+        self.b_ends, self.b_e_ic, self.b_oc, self.b_second = B[:, :3], B[:, 3:5], B[:, 5], B[:, 3:6]
+
+    def keep(self, live):
+        """The live rows, moved to the front of the same buffers."""
+        k = np.count_nonzero(live)
+        self.S[:k] = self.S[live]
+        return _Simplices(*(a[:k] for a in (self.S, self.T, self.C, self.B)))
+
+    def sort(self):
+        """Order each simplex by value with SciPy's argsort."""
+        ind = self.f.argsort(1)
+        ind += self.first
+        self.flat.take(ind, 0, out=self.T, mode="clip")
+        self.S[...] = self.T
+
+    def table_index(self, reflection_only=False):
+        """Each row's _STEP_TABLE index from the values in its step block.
+
+        With reflection_only the second point's comparisons count as true, so the table
+        gives the point SciPy evaluates second, or _R where it evaluates none.
+        """
+        np.less(self.fr_col, self.f_ends, self.b_ends)
+        if reflection_only:
+            self.b_second[...] = True
+        else:
+            np.less(self.f_e_ic, self.f_r_w, self.b_e_ic)
+            np.less_equal(self.f_oc, self.fr, self.b_oc)
+        return np.packbits(self.B, bitorder="little")
 
 
 def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
@@ -149,82 +215,87 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
     points of every live row.  Up to FUSED_STEP_MAX_MODES modes one objective call
     evaluates all of them and the second point is selected, not evaluated; larger
     fits evaluate the reflections in one call and then the second points in
-    another.  The budget counts only the points SciPy evaluates.  Returns
-    (x, fun, nit, success), one entry per row, bitwise equal to that call's fields.
+    another.  SciPy's comparisons index _STEP_TABLE, which gives the new last
+    vertex, the calls SciPy makes and whether the simplex shrinks.  The budget
+    counts only the points SciPy evaluates.  Returns (x, fun, nit, success), one
+    entry per row, bitwise equal to that call's fields.
     """
     m, n = x0.shape
+    x, fun, nits, success = np.empty((m, n)), np.empty(m), np.empty(m, int), np.empty(m, bool)
+    if not m:
+        return x, fun, nits, success
     maxfev = 4 * max_iter
     fused = n <= FUSED_STEP_MAX_MODES
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full((m, n + 1), np.inf)
+    s = _Simplices(np.empty((m, n + 1, 1 + n)), np.empty((m, n + 1, 1 + n)), np.zeros((m, 7, 1 + n)),
+                   np.zeros((m, 8), bool))
+    s.S[:, :, 0], s.S[:, :, 1:] = np.inf, x0[:, None]
+    k = np.arange(1, n + 1)
+    s.S[:, k, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     count = min(n + 1, maxfev)  # the budget may end before the last vertex
     for j in range(count):
-        fsim[:, j] = objective(sim[:, j])
-    at = np.arange(m)
-    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim, at), at)
-    fcalls, nit, rows = np.full(m, count), np.ones(m, int), np.arange(m)
-    x, fun, nits, success = np.empty((m, n)), np.empty(m), np.empty(m, int), np.empty(m, bool)
-    first = np.ones((m, 4), bool)  # fr < f0, fr < f2, fr < f1, True: the kind is the first true
-    ends = np.array([0, n - 1, n])
+        s.S[:, j, 0] = objective(s.S[:, j, 1:])
+    s.sort()
+    s.sort()  # SciPy sorts the first simplex twice
+    ends = np.array([n, 0, n - 1])  # the worst, best and second-worst vertex
+    rows, fcalls, lost = np.arange(m), np.full(m, count), np.zeros(m, int)
     step = 0
-    while rows.size:
+    while True:
         # a row has made at most count + step*(n+2) calls and step+1 iterations so far,
         # so the budget tests below cannot fire until these bounds reach the budget
         tight = count + step * (n + 2) >= maxfev - 1 or step + 1 >= max_iter
         step += 1
         # rows are sorted ascending, NaN last: SciPy's max|f_j - f_0| is the last minus the first
-        done = fsim[:, -1] - fsim[:, 0] <= SIMPLEX_FATOL
-        if np.logical_or.reduce(done):
-            size = np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]).reshape(rows.size, -1), 1)
-            done &= size <= SIMPLEX_XATOL
-        if tight:
-            done |= (fcalls >= maxfev) | (nit >= max_iter)
-        if np.logical_or.reduce(done):
-            r = rows[done]
-            x[r], fun[r], nits[r] = sim[done, 0], fsim[done].min(1), nit[done]
-            success[r] = (fcalls[done] < maxfev) & (nit[done] < max_iter)
-            live = ~done
-            rows, sim, fsim, fcalls, nit = rows[live], sim[live], fsim[live], fcalls[live], nit[live]
-            at, first = at[:rows.size], first[:rows.size]
-            if not rows.size:
-                break
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        pts = _STEP_C1 * xbar[:, None] - _STEP_C2 * sim[:, -1, None]  # row, kind, mode
+        spread = s.fw - s.f0
+        if tight or np.fmin.reduce(spread) <= SIMPLEX_FATOL:
+            nit = step - lost  # a row's iterations so far
+            done = spread <= SIMPLEX_FATOL
+            if np.logical_or.reduce(done):
+                size = np.maximum.reduce(np.abs(s.S[:, 1:, 1:] - s.S[:, :1, 1:]), (1, 2))
+                done &= size <= SIMPLEX_XATOL
+            if tight:
+                done |= (fcalls >= maxfev) | (nit >= max_iter)
+            if np.logical_or.reduce(done):
+                r = rows[done]
+                x[r], fun[r], nits[r] = s.S[done, 0, 1:], np.minimum.reduce(s.f[done], 1), nit[done]
+                success[r] = (fcalls[done] < maxfev) & (nit[done] < max_iter)
+                live = ~done
+                rows, fcalls, lost = rows[live], fcalls[live], lost[live]
+                if not rows.size:
+                    break
+                s = s.keep(live)
+        xbar = np.add.reduce(s.head, 1) / n
+        s.S.take(ends, 1, out=s.ends, mode="clip")
+        np.subtract(_STEP_C1 * xbar[:, None], _STEP_C2 * s.w, s.points)
         if fused:
-            f = objective(pts)
-        else:
-            f = np.empty((rows.size, 4))
-            f[:, 1] = objective(pts[:, 1])
-        fr, f1 = f[:, 1], fsim[:, -1]
-        np.less(fr[:, None], fsim.take(ends, 1), out=first[:, :3])
-        kind = first.argmax(1)  # a NaN fr is kind 3
-        go = kind != 1
-        if tight:
-            go &= fcalls < maxfev - 1  # else the second point overruns the budget
-        if not fused:
-            f[go, kind[go]] = objective(pts[go, kind[go]])
-        fcalls += 1 + go
-        fs = f[at, kind]  # a two-call fit leaves it unevaluated where go is false: w stays
-        better = np.where(kind == 2, fs <= fr, fs < np.where(kind == 3, f1, fr))
-        choice = _NEW_VERTEX.take(2 * kind + better)
-        counted = go | (kind == 1)  # else the budget ran out before the second point
-        if tight:
-            choice[~counted] = 4
-        new = (choice < 4).nonzero()[0]
-        sim[new, -1], fsim[new, -1] = pts[new, choice[new]], f[new, choice[new]]
-        shrink = (go & (choice == 4)).nonzero()[0]
+            s.values[...] = objective(s.points)
+        else:  # the reflections, then the second points in a call of their own
+            s.fr[...] = objective(s.points[:, _R])
+            kind = _STEP_TABLE[0].take(s.table_index(reflection_only=True))
+            go = kind != _R
+            if tight:
+                go &= fcalls < maxfev - 1  # else the second point overruns the budget
+            go = go.nonzero()[0]
+            if go.size:
+                s.C[go, kind[go], 0] = objective(s.points[go, kind[go]])
+        act = _STEP_TABLE.take(s.table_index(), 1)
+        vertex, calls, shrink = act
+        if tight:  # SciPy stops before a second point that would overrun the budget
+            cut = (calls == 2) & (fcalls >= maxfev - 1)
+            act[:, cut] = _BUDGET_CUT
+            lost += cut
+        fcalls += calls
+        s.last[...] = s.C[s.at, vertex]
+        shrink = shrink.nonzero()[0]
         if shrink.size:
-            budget = maxfev - fcalls[shrink]
+            S, budget = s.S, maxfev - fcalls[shrink]
             for j in range(1, n + 1):  # vertex j is written before its call, which may overrun
                 reach, call = shrink[budget >= j - 1], shrink[budget >= j]
-                sim[reach, j] = sim[reach, 0] + 0.5 * (sim[reach, j] - sim[reach, 0])
-                fsim[call, j] = objective(sim[call, j])
+                S[reach, j, 1:] = S[reach, 0, 1:] + 0.5 * (S[reach, j, 1:] - S[reach, 0, 1:])
+                if call.size:
+                    S[call, j, 0] = objective(S[call, j, 1:])
             fcalls[shrink] += np.minimum(budget, n)
-            counted[shrink[budget < n]] = False
-        nit += counted
-        sim, fsim = _sorted_simplices(sim, fsim, at)
+            lost[shrink[budget < n]] += 1
+        s.sort()
     return x, fun, nits, success
 
 

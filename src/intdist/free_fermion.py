@@ -47,10 +47,11 @@ def diagonalize_kernel(kernel) -> np.ndarray:
 def subset_sums(epsilons) -> np.ndarray:
     """All 2^N sums of subsets of epsilons, indexed by occupation bitstring.
 
-    The last axis holds the N mode energies; leading axes are a batch, so
-    shape (..., N) gives (..., 2^N), each row equal to its own 1-D call.
+    The last axis, which epsilons must have, holds the N mode energies; leading
+    axes are a batch, so shape (..., N) gives (..., 2^N), each row equal to its
+    own 1-D call.
     """
-    eps = np.atleast_1d(np.asarray(epsilons, dtype=float))
+    eps = np.asarray(epsilons, dtype=float)
     n = eps.shape[-1]
     if n > MAX_MODES:
         raise ValueError(f"too many free modes ({n} > {MAX_MODES})")

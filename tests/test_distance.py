@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from intdist import distance
 from intdist.distance import (FLOOR_TOL, FUSED_STEP_MAX_MODES, SIMPLEX_FATOL, SIMPLEX_XATOL,
                               DistanceResult, OptimizerOptions, _lockstep_nelder_mead,
                               _objective_factory, df_upper_bound, interaction_distance,
@@ -323,6 +324,39 @@ def test_lockstep_search_matches_scipy_nelder_mead_bitwise(n, max_iter, beta, se
         assert (res.nit, res.success) == (nit[r], success[r])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([1, 2, 3, 40, 300]), st.integers(0, 2**32 - 1))
+@example(2, 300, 14)
+@example(7, 40, 15)
+def test_lockstep_search_matches_scipy_on_nan_and_inf_values(n, max_iter, seed):
+    # NaN beyond a plane and +inf below a wall: a comparison with NaN is false, so a NaN
+    # reflection contracts inside and a NaN contraction shrinks; NaN sorts last, after inf
+    rng = np.random.default_rng(seed)
+    target = np.sort(_random_probs(rng, 1 << n) ** 4)[::-1]
+    objective = _objective_factory(target / target.sum(), 1.0)
+    seen = set()
+
+    def walled(eps):
+        value = np.where(np.add.reduce(eps, -1) > 2.5 * n, np.nan, objective(eps))
+        value = np.where(eps[..., 0] < 0.3, np.inf, value)
+        seen.update(np.unique(value[~np.isfinite(value)]).tolist())
+        return value
+
+    x0 = rng.uniform(0.0, 5.0, (3, n))
+    x0[0] = 2.5 - 0.01 / n  # its first simplex has NaN vertices
+    x0[1, 0] = 0.29  # the start itself is +inf
+    x, fun, nit, success = _lockstep_nelder_mead(walled, x0, max_iter)
+    assert math.inf in seen and any(math.isnan(v) for v in seen)
+    for r, start in enumerate(x0):
+        res = minimize(walled, start, method="Nelder-Mead",
+                       options={"maxiter": max_iter, "maxfev": 4 * max_iter,
+                                "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
+        assert res.x.tobytes() == x[r].tobytes()
+        assert np.float64(res.fun).tobytes() == fun[r].tobytes()
+        assert (res.nit, res.success) == (nit[r], success[r])
+
+
 @pytest.mark.parametrize("n", [2, FUSED_STEP_MAX_MODES + 1])
 def test_fused_step_makes_one_objective_call(n):
     # up to FUSED_STEP_MAX_MODES modes a step is one call on every live row's four
@@ -349,3 +383,25 @@ def test_fused_step_makes_one_objective_call(n):
     assert all(calls[i][1:] == (4, n) for i in steps)
     between = np.diff(steps + [len(calls)]) - 1
     assert set(between) <= {0, n} and n in between  # 0 extra calls, or a shrink's n
+
+
+@pytest.mark.parametrize("case", ["seven modes", "floor start"])
+def test_no_objective_call_on_zero_rows(monkeypatch, case):
+    # a step in which no row has a second point, a shrink whose budget allows no call
+    # and a fit whose first start is already at the floor make no call on an empty batch
+    shapes = []
+
+    def recorded(eps):
+        shapes.append(np.shape(eps))
+        return subset_sums(eps)
+
+    monkeypatch.setattr(distance, "subset_sums", recorded)  # every objective call makes one
+    if case == "floor start":
+        res = interaction_distance(np.array([1.0, 0.0, 0.0, 0.0]), 2, 1.0)
+        assert res.optimizer_info["total_iterations"] == 0
+    else:
+        rng = np.random.default_rng(47)
+        target = _random_probs(rng, 1 << 7) ** 4
+        interaction_distance(target / target.sum(), 7, 1.0, OptimizerOptions(restarts=4, max_iter=300))
+    assert shapes and all(len(shape) == 1 or shape[0] for shape in shapes)
+
