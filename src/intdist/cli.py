@@ -309,23 +309,28 @@ def _spectrum_at(cfg: dict, v: float, beta: float):
     return reduced_density_spectrum(eig.vectors[:, 0], ground.basis, region), len(region)
 
 
-def _sweep_point(cfg: dict, point) -> dict:
+def _row(cfg: dict, point, context=None) -> dict:
+    """One grid point's row, its keys in CSV order.
+
+    Without a context this is a sweep row with ``d_f``; with the context of
+    ``_perturbative_context`` it is a compare row, whose ``exact``,
+    ``perturbative`` and ``abs_diff`` stand where ``d_f`` would.
+    """
     v, beta, temperature = point
     start = time.perf_counter()
     rho, n_modes = _spectrum_at(cfg, v, beta)  # validate_config fixes beta = 1 for entanglement
     res = interaction_distance(rho, n_modes, beta, OptimizerOptions(**cfg["optimizer"]))
-    return {
-        "model": cfg["model"]["type"],
-        "params": _configured_model(cfg)[1],
-        "quantity": cfg["quantity"],
-        "v": v,
-        "beta": beta,
-        "temperature": temperature,
-        "d_f": res.value,
-        "epsilons": list(res.optimal_epsilons),
-        "converged": bool(res.optimizer_info["converged"]),
-        "wall_time_s": time.perf_counter() - start,
-    }
+    row = {"model": cfg["model"]["type"], "params": _configured_model(cfg)[1],
+           "quantity": cfg["quantity"], "v": v, "beta": beta, "temperature": temperature}
+    if context is None:
+        row["d_f"] = res.value
+    else:
+        pert = _first_order(cfg, context, v, beta)
+        row.update(exact=res.value, perturbative=pert, abs_diff=abs(res.value - pert))
+    row.update(epsilons=list(res.optimal_epsilons),
+               converged=bool(res.optimizer_info["converged"]),
+               wall_time_s=time.perf_counter() - start)
+    return row
 
 
 def _perturbative_context(cfg: dict):
@@ -359,27 +364,20 @@ def _sector_split(spec: _Model, params: dict, coupling, n: int):
     return eig.energies, resolve_degeneracies(eig, density_density_diagonal(op.basis, coupling))[0]
 
 
-def _compare_point(cfg: dict, context, point) -> dict:
-    row = _sweep_point(cfg, point)
-    v = row["v"]
+def _first_order(cfg: dict, context, v: float, beta: float) -> float:
+    """The first-order distance at coupling v; nan where the entanglement form fails."""
     if cfg["quantity"] == "entanglement":
         try:
-            pert = perturbative_dent(*context, v)
+            return perturbative_dent(*context, v)
         except ValueError:
-            pert = float("nan")
-    else:
-        energies, slope, pattern = context
-        decomp = perturbative_free_decomposition(energies + v * slope, pattern)
-        pert = perturbative_dth(decomp, row["beta"])
-    row["exact"] = row.pop("d_f")
-    row["perturbative"] = pert
-    row["abs_diff"] = abs(row["exact"] - pert)
-    return row
+            return float("nan")
+    energies, slope, pattern = context
+    return perturbative_dth(perturbative_free_decomposition(energies + v * slope, pattern), beta)
 
 
 def run_sweep(cfg: dict) -> list:
     """One interaction-distance row per grid point, in grid-major order."""
-    return [_sweep_point(cfg, point) for point in _grid_points(cfg)]
+    return [_row(cfg, point) for point in _grid_points(cfg)]
 
 
 def run_compare(cfg: dict) -> list:
@@ -387,7 +385,7 @@ def run_compare(cfg: dict) -> list:
     if cfg["quantity"] == "entanglement" and cfg["model"]["type"] != "dimer":
         raise ConfigError("compare with quantity=entanglement supports model.type=dimer only")
     context = _perturbative_context(cfg)
-    return [_compare_point(cfg, context, point) for point in _grid_points(cfg)]
+    return [_row(cfg, point, context) for point in _grid_points(cfg)]
 
 
 def _worker_count() -> int:
@@ -409,24 +407,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_CSV_COLUMNS = {
-    "sweep": ["model", "params", "quantity", "v", "beta", "temperature", "d_f",
-              "epsilons", "converged"],
-    "compare": ["model", "params", "quantity", "v", "beta", "temperature", "exact",
-                "perturbative", "abs_diff", "epsilons", "converged"],
-}
-
-
-def render_csv(cfg: dict, rows: list, kind: str) -> str:
+def render_csv(cfg: dict, rows: list) -> str:
     """CSV with the effective config echoed as a leading comment line.
 
-    Per-row wall time is reported only in the jsonl format: its jitter would
-    break the byte-identical reproducibility of CSV output.
+    The columns are the first row's keys in order, less ``wall_time_s``: per-row
+    wall time is reported only in the jsonl format, as its jitter would break
+    the byte-identical reproducibility of CSV output.
     """
     buf = io.StringIO()
     buf.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    columns = _CSV_COLUMNS[kind]
+    columns = [key for key in rows[0] if key != "wall_time_s"]
     writer.writerow(columns)
     writer.writerows([_fmt(row[col]) for col in columns] for row in rows)
     return buf.getvalue()
@@ -439,9 +430,9 @@ def render_jsonl(cfg: dict, rows: list) -> str:
     return "".join(json.dumps(line, sort_keys=True, allow_nan=False) + "\n" for line in lines)
 
 
-def _emit(cfg: dict, rows: list, kind: str):
+def _emit(cfg: dict, rows: list):
     if cfg["output"]["format"] == "csv":
-        text = render_csv(cfg, rows, kind)
+        text = render_csv(cfg, rows)
     else:
         text = render_jsonl(cfg, rows)
     path = cfg["output"]["path"]
@@ -513,10 +504,10 @@ def _load_config(args) -> dict:
     return validate_config(_merge_config(cfg, _overrides_from_args(args)))
 
 
-def _grid_command(args, runner, kind: str) -> int:
+def _grid_command(args, runner) -> int:
     cfg = _load_config(args)
     rows = runner(cfg)
-    _emit(cfg, rows, kind)
+    _emit(cfg, rows)
     bad = sum(1 for row in rows if not row["converged"])
     if args.strict and bad:
         print(f"error: {bad} grid point(s) did not converge", file=sys.stderr)
@@ -544,7 +535,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         runner = run_sweep if args.command == "sweep" else run_compare
-        return _grid_command(args, runner, args.command)
+        return _grid_command(args, runner)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

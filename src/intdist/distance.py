@@ -83,8 +83,8 @@ def trace_distance_sorted(p, q) -> float:
     n = max(pv.size, qv.size)
     ps = np.zeros(n)
     qs = np.zeros(n)
-    ps[: pv.size] = np.sort(pv)[::-1]
-    qs[: qv.size] = np.sort(qv)[::-1]
+    ps[: pv.size] = pv
+    qs[: qv.size] = qv
     return 0.5 * float(np.abs(ps - qs).sum())
 
 
@@ -94,14 +94,13 @@ def df_upper_bound() -> float:
 
 
 def _pseudo_levels(probs: np.ndarray, beta: float) -> np.ndarray:
-    """Effective free levels -ln(p_k / p_max) / beta, ascending, finite part."""
-    p = np.sort(probs)[::-1]
-    p = p[p > 0.0]
+    """Effective free levels -ln(p_k / p_max) / beta of descending probs, ascending."""
+    p = probs[probs > 0.0]
     return np.log(p[0] / p) / beta
 
 
 def _objective_factory(target_desc: np.ndarray, beta: float):
-    target = np.sort(target_desc)  # ascending; zeros lead
+    target = np.ascontiguousarray(target_desc[::-1])  # ascending; zeros lead
 
     def objective(eps: np.ndarray):
         # one value per row of eps, a scalar for 1-D eps; boltzmann_weights is inlined
@@ -340,7 +339,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     opts = opts or OptimizerOptions()
 
     target = np.zeros(1 << n_free_modes)
-    target[: probs.size] = np.sort(probs)[::-1]
+    target[: probs.size] = probs
     objective = _objective_factory(target, beta)
 
     if n_free_modes == 0:
@@ -348,7 +347,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
             "converged": True, "restarts": 0, "total_iterations": 0})
 
     levels = _pseudo_levels(probs, beta)
-    top = levels[-1] if levels.size else 0.0
+    top = levels[-1]
     filler = top + _NEGLIGIBLE_EXPONENT / beta
     guess = greedy_single_particle_gaps(levels, n_free_modes, filler=filler)
     span = max(top, MIN_START_SPAN)

@@ -57,7 +57,7 @@ class ProbabilitySpectrum:
             raise ValueError(f"negative probability {p.min()} below clamp tolerance")
         p[p < CLAMP_TOL] = 0.0
         total = p.sum()
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # written so that a NaN sum fails too
             raise ValueError(f"not a normalized probability vector: sum={total}")
         p[::-1].sort()
         p.flags.writeable = False
@@ -168,7 +168,7 @@ def reduced_density_spectrum(state, basis: OccupationBasis, region_a) -> Probabi
     """
     m = amplitude_matrix(state, basis, region_a)
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails too
         raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
     sv = np.linalg.svd(m, compute_uv=False)
     p = np.zeros(m.shape[0])

@@ -72,6 +72,34 @@ def test_sweep_csv_schema(capsys):
     assert json.loads(rows[0]["params"]) == {"t": 1.0, "delta1": 1.0, "delta2": -1.0}
 
 
+_POINT_KEYS = ["model", "params", "quantity", "v", "beta", "temperature"]
+_TAIL_KEYS = ["epsilons", "converged"]
+
+
+@pytest.mark.parametrize("command, runner, values", [
+    ("sweep", run_sweep, ["d_f"]),
+    ("compare", run_compare, ["exact", "perturbative", "abs_diff"]),
+])
+@pytest.mark.parametrize("quantity", ["thermal", "entanglement"])
+def test_csv_layout_is_the_row_less_wall_time(command, runner, values, quantity, capsys):
+    argv = [command, "--quantity", quantity, "--v-min", "0", "--v-max", "0.5", "--v-steps", "2",
+            "--restarts", "4", "--seed", "7"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    header = out.splitlines()[1]
+    assert header == ",".join(_POINT_KEYS + values + _TAIL_KEYS)
+    # the columns are each row's keys in order, less the jsonl-only wall time
+    cfg = json.loads(out.splitlines()[0][len("# config: "):])
+    rows = runner(cfg)
+    for row in rows:
+        assert list(row) == _POINT_KEYS + values + _TAIL_KEYS + ["wall_time_s"]
+    assert render_csv(cfg, rows).splitlines()[1] == header
+    code, out, _ = _run(capsys, argv + ["--format", "jsonl"])
+    assert code == 0
+    for line in out.splitlines()[1:]:
+        assert set(json.loads(line)) == set(_POINT_KEYS + values + _TAIL_KEYS) | {"wall_time_s"}
+
+
 def test_sweep_is_byte_identical_across_runs(tmp_path):
     cfg = {"coupling_grid": {"min": 0.0, "max": 2.0, "steps": 3},
            "optimizer": FAST_OPT}
@@ -507,7 +535,7 @@ def test_run_sweep_python_api():
     rows = run_sweep(cfg)
     assert len(rows) == 1
     assert rows[0]["d_f"] <= 1e-8
-    text = render_csv(cfg, rows, "sweep")
+    text = render_csv(cfg, rows)
     assert text.startswith("# config: ")
 
 

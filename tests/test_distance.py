@@ -14,7 +14,7 @@ from intdist.distance import (FLOOR_TOL, FUSED_STEP_MAX_MODES, SIMPLEX_FATOL, SI
                               trace_distance_sorted)
 from intdist.free_fermion import FreeSpectrumParams, free_probabilities, subset_sums
 from intdist.models import DimerParams, hubbard_dimer
-from intdist.spectra import exact_diagonalize, thermal_probabilities
+from intdist.spectra import ProbabilitySpectrum, exact_diagonalize, thermal_probabilities
 
 SQRT2 = np.sqrt(2.0)
 
@@ -59,6 +59,8 @@ def test_trace_distance_rejects_unnormalized():
         trace_distance_sorted([0.5, 0.6], [0.5, 0.5])
     with pytest.raises(ValueError, match="not a normalized"):
         trace_distance_sorted([1.0], [0.5, 0.5 + 5e-10])
+    with pytest.raises(ValueError, match="not a normalized"):
+        trace_distance_sorted([np.nan, 1.0], [1.0])
 
 
 def test_trace_distance_metric_axioms():
@@ -143,6 +145,25 @@ def test_rejects_bad_beta_and_input():
         interaction_distance(np.array([0.7, 0.7]), 2, 1.0)
     with pytest.raises(ValueError, match="not a normalized"):
         interaction_distance(np.array([0.5, 0.5 + 5e-10]), 1, 1.0)
+    # refused up front, not searched by every restart up to the iteration cap
+    with pytest.raises(ValueError, match="not a normalized"):
+        interaction_distance(np.array([np.nan, 0.5, 0.5, 0.0]), 2, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+def test_shuffled_vector_gives_the_result_of_its_spectrum_bitwise(n, beta, seed):
+    # the fit takes ProbabilitySpectrum's descending order as given
+    rng = np.random.default_rng(seed)
+    probs = _random_probs(rng, int(rng.integers(1, (1 << n) + 1)))
+    probs[1:][rng.random(probs.size - 1) < 0.2] = 0.0  # empty levels, never all of them
+    probs /= probs.sum()
+    opts = OptimizerOptions(seed=seed % 1000, restarts=3)
+    res = interaction_distance(ProbabilitySpectrum(probs), n, beta, opts)
+    shuffled = interaction_distance(rng.permutation(probs), n, beta, opts)
+    assert np.float64(shuffled.value).tobytes() == np.float64(res.value).tobytes()
+    assert shuffled.optimal_epsilons.tobytes() == res.optimal_epsilons.tobytes()
+    assert shuffled.optimizer_info == res.optimizer_info
 
 
 def test_rejects_mode_count_beyond_cap():

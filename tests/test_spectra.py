@@ -105,6 +105,10 @@ def test_probability_spectrum_rejects_unnormalized():
         ProbabilitySpectrum([0.5, 0.5 + 5e-10])
     with pytest.raises(ValueError, match="negative"):
         ProbabilitySpectrum([1.1, -0.1])
+    # abs(nan - 1) > NORM_TOL is false: the check must be written so that NaN fails it
+    for probs in ([np.nan, 1.0], [np.nan, 0.5, 0.5, 0.0], [np.nan]):
+        with pytest.raises(ValueError, match="not a normalized probability vector"):
+            ProbabilitySpectrum(probs)
 
 
 def test_entanglement_energies_view():
@@ -167,6 +171,9 @@ def test_reduced_density_validates_input():
         reduced_density_spectrum(psi, basis, (0, 1))
     with pytest.raises(ValueError, match="outside"):
         reduced_density_spectrum(psi, basis, (5,))
+    # a NaN amplitude fails the norm check before it reaches the SVD
+    with pytest.raises(ValueError, match="norm"):
+        reduced_density_spectrum(np.array([np.nan, 1.0, 0.0, 0.0]), basis, (0,))
 
 
 def _random_state(rng, dim):
