@@ -86,7 +86,6 @@ class _Model:
     numbers: Callable            # params -> particle numbers of the model's sectors, ascending
     sector: Callable             # (params, v, n) -> Hamiltonian over the n-particle sector
     interaction: Callable        # params -> density-density coupling matrix at v = 1
-    thermal_modes: Callable      # params -> free modes fitted to a thermal spectrum
     region: Callable             # params -> modes on one side of the entanglement cut
 
 
@@ -99,7 +98,6 @@ _MODELS = {
         numbers=lambda params: (2,),
         sector=lambda params, v, n: hubbard_dimer(DimerParams(**params, v=v))[0],
         interaction=lambda params: dimer_interaction_matrix(1.0),
-        thermal_modes=lambda params: 2,
         region=lambda params: DIMER_SITE1_MODES,
     ),
     "chain": _Model(
@@ -108,7 +106,6 @@ _MODELS = {
         numbers=lambda params: range(params["n_sites"] + 1),
         sector=lambda params, v, n: spinless_chain(ChainParams(**params, interaction=v), n),
         interaction=lambda params: ChainParams(**params, interaction=1.0).interaction_matrix(),
-        thermal_modes=lambda params: params["n_sites"],
         region=lambda params: tuple(range(max(1, params["n_sites"] // 2))),
     ),
 }
@@ -289,7 +286,7 @@ def _ground_sector(spec: _Model, params: dict, v: float, levels: list):
 
 
 def _spectrum_at(cfg: dict, v: float, beta: float):
-    """Probability spectrum and free-mode count for one grid point.
+    """Probability spectrum of one grid point.
 
     Each particle-number sector is built and diagonalized on its own, without
     vectors.  The entanglement spectrum is that of the ground state of the
@@ -299,14 +296,13 @@ def _spectrum_at(cfg: dict, v: float, beta: float):
     levels = _levels(spec, params, v)
     energies = np.sort(np.concatenate(levels))
     if cfg["quantity"] == "thermal":
-        return thermal_probabilities(energies, beta), spec.thermal_modes(params)
+        return thermal_probabilities(energies, beta)
     gap = energies[1] - energies[0]
     if gap <= DEGENERACY_TOL:
         warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {gap:.3g}): the "
                       "entanglement spectrum is that of one of the ground states", stacklevel=2)
     ground, eig = _ground_sector(spec, params, v, levels)
-    region = spec.region(params)
-    return reduced_density_spectrum(eig.vectors[:, 0], ground.basis, region), len(region)
+    return reduced_density_spectrum(eig.vectors[:, 0], ground.basis, spec.region(params))
 
 
 def _row(cfg: dict, point, context=None) -> dict:
@@ -318,8 +314,8 @@ def _row(cfg: dict, point, context=None) -> dict:
     """
     v, beta, temperature = point
     start = time.perf_counter()
-    rho, n_modes = _spectrum_at(cfg, v, beta)  # validate_config fixes beta = 1 for entanglement
-    res = interaction_distance(rho, n_modes, beta, OptimizerOptions(**cfg["optimizer"]))
+    rho = _spectrum_at(cfg, v, beta)  # validate_config fixes beta = 1 for entanglement
+    res = interaction_distance(rho, None, beta, OptimizerOptions(**cfg["optimizer"]))
     row = {"model": cfg["model"]["type"], "params": _configured_model(cfg)[1],
            "quantity": cfg["quantity"], "v": v, "beta": beta, "temperature": temperature}
     if context is None:

@@ -29,12 +29,23 @@ MIN_START_SPAN = 1e-3
 _NEGLIGIBLE_EXPONENT = 46.0
 
 
+def _integer(name: str, value, lowest: int) -> int:
+    """value as an int; a Python or numpy integer (not bool) of at least lowest."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lowest:
+        raise ValueError(f"{name} must be >= {lowest}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Settings for the multi-start simplex minimization.
 
     All randomness (perturbed and uniform restarts) derives from ``seed``;
     results are deterministic for a fixed seed, independent of scheduling.
+    ``max_iter`` is each restart's only budget: its Nelder-Mead iterations,
+    with no separate cap on objective evaluations.
     """
 
     seed: int = 1234
@@ -43,12 +54,7 @@ class OptimizerOptions:
 
     def __post_init__(self):
         for name, lowest in (("seed", 0), ("restarts", 1), ("max_iter", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < lowest:
-                raise ValueError(f"{name} must be >= {lowest}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), lowest))
 
 
 @dataclass(frozen=True)
@@ -132,26 +138,24 @@ _STEP_C2 = np.array([1.0, 2.0, 0.5, -0.5])[:, None]
 
 
 def _scipy_step(fr_lt_fw, fr_lt_f0, fr_lt_fs, fe_lt_fr, fic_lt_fw, foc_le_fr):
-    """SciPy's Nelder-Mead step from its comparisons: (new last vertex, calls, shrink).
+    """SciPy's Nelder-Mead step from its comparisons: (new last vertex, shrink).
 
     f0, fs and fw are the best, second-worst and worst vertex values.  A comparison
     with NaN is false, so a NaN reflection contracts inside and a NaN contraction
     shrinks.  A shrink keeps w as the last vertex, then moves every vertex but the best.
     """
     if fr_lt_f0:
-        return (_E if fe_lt_fr else _R), 2, 0
+        return (_E if fe_lt_fr else _R), 0
     if fr_lt_fs:
-        return _R, 1, 0
+        return _R, 0
     if fr_lt_fw:
-        return (_OC, 2, 0) if foc_le_fr else (_W, 2, 1)
-    return (_IC, 2, 0) if fic_lt_fw else (_W, 2, 1)
+        return (_OC, 0) if foc_le_fr else (_W, 1)
+    return (_IC, 0) if fic_lt_fw else (_W, 1)
 
 
 #: _scipy_step for each of the 64 outcomes of its comparisons (argument k is bit k of
 #: the index), one column per outcome.
 _STEP_TABLE = np.array([_scipy_step(*(i >> k & 1 for k in range(6))) for i in range(64)]).T
-#: The step of a row whose second point would overrun the budget: w stays, one call.
-_BUDGET_CUT = np.array([[_W], [1], [0]])
 
 
 class _Simplices:
@@ -208,59 +212,48 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
     """Nelder-Mead from every row of x0 at once, with batched objective calls.
 
     Row r repeats, operation for operation, SciPy's
-    ``minimize(objective, x0[r], method="Nelder-Mead")`` with maxiter=max_iter,
-    maxfev=4*max_iter and the SIMPLEX_ tolerances: the same vertex arithmetic,
-    comparisons, sorts and budget cut-offs.  A step builds the four candidate
-    points of every live row.  Up to FUSED_STEP_MAX_MODES modes one objective call
-    evaluates all of them and the second point is selected, not evaluated; larger
-    fits evaluate the reflections in one call and then the second points in
-    another.  SciPy's comparisons index _STEP_TABLE, which gives the new last
-    vertex, the calls SciPy makes and whether the simplex shrinks.  The budget
-    counts only the points SciPy evaluates.  Returns (x, fun, nit, success), one
-    entry per row, bitwise equal to that call's fields.
+    ``minimize(objective, x0[r], method="Nelder-Mead")`` with maxiter=max_iter and
+    the SIMPLEX_ tolerances: the same vertex arithmetic, comparisons and sorts.
+    max_iter is the only budget, as in SciPy when only maxiter is given.  A step
+    builds the four candidate points of every live row.  Up to
+    FUSED_STEP_MAX_MODES modes one objective call evaluates all of them and the
+    second point is selected, not evaluated; larger fits evaluate the reflections
+    in one call and then the second points in another.  SciPy's comparisons index
+    _STEP_TABLE, which gives the new last vertex and whether the simplex shrinks;
+    a shrink is one call on every moved vertex.  Returns (x, fun, nit, success),
+    one entry per row, bitwise equal to that call's fields.
     """
     m, n = x0.shape
     x, fun, nits, success = np.empty((m, n)), np.empty(m), np.empty(m, int), np.empty(m, bool)
     if not m:
         return x, fun, nits, success
-    maxfev = 4 * max_iter
     fused = n <= FUSED_STEP_MAX_MODES
     s = _Simplices(np.empty((m, n + 1, 1 + n)), np.empty((m, n + 1, 1 + n)), np.zeros((m, 7, 1 + n)),
                    np.zeros((m, 8), bool))
-    s.S[:, :, 0], s.S[:, :, 1:] = np.inf, x0[:, None]
+    s.S[:, :, 1:] = x0[:, None]
     k = np.arange(1, n + 1)
     s.S[:, k, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    count = min(n + 1, maxfev)  # the budget may end before the last vertex
-    for j in range(count):
+    for j in range(n + 1):
         s.S[:, j, 0] = objective(s.S[:, j, 1:])
     s.sort()
     s.sort()  # SciPy sorts the first simplex twice
     ends = np.array([n, 0, n - 1])  # the worst, best and second-worst vertex
-    rows, fcalls, lost = np.arange(m), np.full(m, count), np.zeros(m, int)
-    step = 0
+    rows, nit = np.arange(m), 0
     while True:
-        # a row has made at most count + step*(n+2) calls and step+1 iterations so far,
-        # so the budget tests below cannot fire until these bounds reach the budget
-        tight = count + step * (n + 2) >= maxfev - 1 or step + 1 >= max_iter
-        step += 1
+        nit += 1  # every live row's iterations so far
         # rows are sorted ascending, NaN last: SciPy's max|f_j - f_0| is the last minus the first
         spread = s.fw - s.f0
-        if tight or np.fmin.reduce(spread) <= SIMPLEX_FATOL:
-            nit = step - lost  # a row's iterations so far
-            done = spread <= SIMPLEX_FATOL
-            if np.logical_or.reduce(done):
-                size = np.maximum.reduce(np.abs(s.S[:, 1:, 1:] - s.S[:, :1, 1:]), (1, 2))
-                done &= size <= SIMPLEX_XATOL
-            if tight:
-                done |= (fcalls >= maxfev) | (nit >= max_iter)
+        if nit >= max_iter or np.fmin.reduce(spread) <= SIMPLEX_FATOL:
+            size = np.maximum.reduce(np.abs(s.S[:, 1:, 1:] - s.S[:, :1, 1:]), (1, 2))
+            done = ((spread <= SIMPLEX_FATOL) & (size <= SIMPLEX_XATOL)) | (nit >= max_iter)
             if np.logical_or.reduce(done):
                 r = rows[done]
-                x[r], fun[r], nits[r] = s.S[done, 0, 1:], np.minimum.reduce(s.f[done], 1), nit[done]
-                success[r] = (fcalls[done] < maxfev) & (nit[done] < max_iter)
+                x[r], fun[r], nits[r] = s.S[done, 0, 1:], np.minimum.reduce(s.f[done], 1), nit
+                success[r] = nit < max_iter
                 live = ~done
-                rows, fcalls, lost = rows[live], fcalls[live], lost[live]
+                rows = rows[live]
                 if not rows.size:
-                    break
+                    return x, fun, nits, success
                 s = s.keep(live)
         xbar = np.add.reduce(s.head, 1) / n
         s.S.take(ends, 1, out=s.ends, mode="clip")
@@ -270,32 +263,17 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
         else:  # the reflections, then the second points in a call of their own
             s.fr[...] = objective(s.points[:, _R])
             kind = _STEP_TABLE[0].take(s.table_index(reflection_only=True))
-            go = kind != _R
-            if tight:
-                go &= fcalls < maxfev - 1  # else the second point overruns the budget
-            go = go.nonzero()[0]
+            go = (kind != _R).nonzero()[0]
             if go.size:
                 s.C[go, kind[go], 0] = objective(s.points[go, kind[go]])
-        act = _STEP_TABLE.take(s.table_index(), 1)
-        vertex, calls, shrink = act
-        if tight:  # SciPy stops before a second point that would overrun the budget
-            cut = (calls == 2) & (fcalls >= maxfev - 1)
-            act[:, cut] = _BUDGET_CUT
-            lost += cut
-        fcalls += calls
+        vertex, shrink = _STEP_TABLE.take(s.table_index(), 1)
         s.last[...] = s.C[s.at, vertex]
         shrink = shrink.nonzero()[0]
         if shrink.size:
-            S, budget = s.S, maxfev - fcalls[shrink]
-            for j in range(1, n + 1):  # vertex j is written before its call, which may overrun
-                reach, call = shrink[budget >= j - 1], shrink[budget >= j]
-                S[reach, j, 1:] = S[reach, 0, 1:] + 0.5 * (S[reach, j, 1:] - S[reach, 0, 1:])
-                if call.size:
-                    S[call, j, 0] = objective(S[call, j, 1:])
-            fcalls[shrink] += np.minimum(budget, n)
-            lost[shrink[budget < n]] += 1
+            best, moved = s.S[shrink, :1, 1:], s.S[shrink, 1:, 1:]
+            s.S[shrink, 1:, 1:] = best + 0.5 * (moved - best)
+            s.S[shrink, 1:, 0] = objective(s.S[shrink, 1:, 1:])
         s.sort()
-    return x, fun, nits, success
 
 
 def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 1.0,
@@ -306,10 +284,11 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     ----------
     rho          : ProbabilitySpectrum (or normalized vector), thermal or
                    entanglement.  For entanglement spectra use beta = 1.
-    n_free_modes : number of variational single-particle energies; defaults
-                   to ceil(log2 len(rho)).  2**n_free_modes must cover
-                   len(rho); anything smaller would discard weight and is an
-                   error rather than a silent truncation.
+    n_free_modes : number of variational single-particle energies, an integer
+                   but not a bool; defaults to ceil(log2 len(rho)).
+                   2**n_free_modes must cover len(rho); anything smaller would
+                   discard weight and is an error rather than a silent
+                   truncation.
     beta         : inverse temperature of the Gibbs comparison.
     opts         : OptimizerOptions; defaults are deterministic.
 
@@ -328,8 +307,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
         raise ValueError(f"beta must be finite and positive, got {beta}")
     if n_free_modes is None:
         n_free_modes = max(0, math.ceil(math.log2(probs.size)))
-    if n_free_modes < 0:
-        raise ValueError("n_free_modes must be nonnegative")
+    n_free_modes = _integer("n_free_modes", n_free_modes, 0)
     if n_free_modes > MAX_MODES:
         raise ValueError(f"n_free_modes={n_free_modes} exceeds the cap MAX_MODES={MAX_MODES}")
     if (1 << n_free_modes) < probs.size:

@@ -167,7 +167,7 @@ def _chain_cfg(n_sites, v, quantity):
 def _chain_point(n_sites, v, quantity):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # free odd chains warn about their degenerate ground state
-        return _spectrum_at(_chain_cfg(n_sites, v, quantity), v, 1.0)[0]
+        return _spectrum_at(_chain_cfg(n_sites, v, quantity), v, 1.0)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -150,6 +150,22 @@ def test_rejects_bad_beta_and_input():
         interaction_distance(np.array([np.nan, 0.5, 0.5, 0.0]), 2, 1.0)
 
 
+@pytest.mark.parametrize("n_free_modes", [2.0, True, np.True_, "2", -1])
+def test_rejects_bad_mode_count(n_free_modes):
+    # a bool is not taken as 0 or 1 modes, nor a float as an integer
+    with pytest.raises(ValueError, match="^n_free_modes must be"):
+        interaction_distance(_dimer_thermal(1.0), n_free_modes, 1.0)
+
+
+def test_numpy_integer_mode_count_gives_the_int_result():
+    rho = _dimer_thermal(1.0)
+    expected = interaction_distance(rho, 2, 1.0, FAST)
+    for n_free_modes in (np.int64(2), np.uint8(2)):
+        res = interaction_distance(rho, n_free_modes, 1.0, FAST)
+        assert res.value == expected.value and res.optimizer_info == expected.optimizer_info
+        assert res.optimal_epsilons.tobytes() == expected.optimal_epsilons.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
 def test_shuffled_vector_gives_the_result_of_its_spectrum_bitwise(n, beta, seed):
@@ -315,31 +331,32 @@ def test_batched_subset_sums_and_objective_rows_match_1d_calls_bitwise():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.sampled_from([1, 2, 3, 40, 5000]), st.floats(0.1, 10.0),
        st.integers(0, 2**32 - 1))
-@example(6, 2, 1.0, 8)  # 7 vertex calls and a reflection leave no call for the second point
-# the largest fused fit and the smallest two-call one, with budgets that end
-# before the simplex is complete, before the second point and inside a shrink
+# the largest fused fit and the smallest two-call one, with budgets of no step,
+# one step and two steps: max_iter is the only budget, so a step that needs a
+# second point or a shrink makes every call, however many the fit has made
 @example(6, 1, 1.0, 9)
+@example(6, 2, 1.0, 8)
 @example(6, 3, 0.7, 10)
 @example(7, 1, 1.0, 11)
 @example(7, 2, 1.0, 12)
 @example(7, 3, 0.7, 13)
+# every step of the parked row is 10 calls, so it makes 4 * max_iter calls long before max_iter
+@example(8, 40, 1.0, 16)
 def test_lockstep_search_matches_scipy_nelder_mead_bitwise(n, max_iter, beta, seed):
-    # max_iter=1 leaves 4 calls, fewer than the 6+ vertices of a 5+ mode simplex
     rng = np.random.default_rng(seed)
     target = np.sort(_random_probs(rng, 1 << n) ** 4)[::-1]
     objective = _objective_factory(target / target.sum(), beta)
     x0 = rng.uniform(0.0, 5.0, (3, n))
     x0[rng.random(x0.shape) < 0.15] = 0.0  # a zero coordinate gets the absolute step
     # a parked mode's Gibbs weight underflows to 0: along it the objective is
-    # flat, which makes ties; with all modes parked every step shrinks, and the
-    # small budgets run out inside a shrink
+    # flat, which makes ties; with all modes parked every step shrinks
     x0[1, rng.random(n) < 0.5] = 850.0 / beta
     x0[2] = rng.uniform(800.0, 900.0, n) / beta
     x, fun, nit, success = _lockstep_nelder_mead(objective, x0, max_iter)
     for r, start in enumerate(x0):
         res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "maxfev": 4 * max_iter,
-                                "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
+                       options={"maxiter": max_iter, "xatol": SIMPLEX_XATOL,
+                                "fatol": SIMPLEX_FATOL})
         assert res.x.tobytes() == x[r].tobytes()
         assert np.float64(res.fun).tobytes() == fun[r].tobytes()
         assert (res.nit, res.success) == (nit[r], success[r])
@@ -371,8 +388,8 @@ def test_lockstep_search_matches_scipy_on_nan_and_inf_values(n, max_iter, seed):
     assert math.inf in seen and any(math.isnan(v) for v in seen)
     for r, start in enumerate(x0):
         res = minimize(walled, start, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "maxfev": 4 * max_iter,
-                                "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})
+                       options={"maxiter": max_iter, "xatol": SIMPLEX_XATOL,
+                                "fatol": SIMPLEX_FATOL})
         assert res.x.tobytes() == x[r].tobytes()
         assert np.float64(res.fun).tobytes() == fun[r].tobytes()
         assert (res.nit, res.success) == (nit[r], success[r])
@@ -381,8 +398,8 @@ def test_lockstep_search_matches_scipy_on_nan_and_inf_values(n, max_iter, seed):
 @pytest.mark.parametrize("n", [2, FUSED_STEP_MAX_MODES + 1])
 def test_fused_step_makes_one_objective_call(n):
     # up to FUSED_STEP_MAX_MODES modes a step is one call on every live row's four
-    # candidates; only a shrink adds calls, one per moved vertex.  Larger fits call
-    # on the reflections and then on the second points.
+    # candidates; larger fits call on the reflections and then on the second points.
+    # A shrink adds one call on the n moved vertices of every shrinking row.
     rng = np.random.default_rng(46)
     target = np.sort(_random_probs(rng, 1 << n) ** 4)[::-1]
     objective = _objective_factory(target / target.sum(), 1.0)
@@ -396,20 +413,20 @@ def test_fused_step_makes_one_objective_call(n):
     _, _, nit, success = _lockstep_nelder_mead(recorded, x0, 5000)
     assert success.all()
     calls = shapes[n + 1:]  # after the vertices of the first simplex
-    steps = [i for i, shape in enumerate(calls) if len(shape) == 3]
+    shrinks = [i for i, shape in enumerate(calls) if shape[1:] == (n, n)]
+    assert shrinks and all(calls[i][0] <= len(x0) and calls[i - 1][1:] != (n, n) for i in shrinks)
+    steps = [shape for i, shape in enumerate(calls) if i not in shrinks]
     if n > FUSED_STEP_MAX_MODES:  # no call holds more points than there are rows
-        assert not steps and all(shape[0] <= len(x0) for shape in calls)
+        assert all(len(shape) == 2 and shape[0] <= len(x0) for shape in steps)
         return
     assert len(steps) == nit.max() - 1  # every step counts an iteration of each live row
-    assert all(calls[i][1:] == (4, n) for i in steps)
-    between = np.diff(steps + [len(calls)]) - 1
-    assert set(between) <= {0, n} and n in between  # 0 extra calls, or a shrink's n
+    assert all(shape[1:] == (4, n) for shape in steps)
 
 
 @pytest.mark.parametrize("case", ["seven modes", "floor start"])
 def test_no_objective_call_on_zero_rows(monkeypatch, case):
-    # a step in which no row has a second point, a shrink whose budget allows no call
-    # and a fit whose first start is already at the floor make no call on an empty batch
+    # a step in which no row has a second point, a step in which no row shrinks and a
+    # fit whose first start is already at the floor make no call on an empty batch
     shapes = []
 
     def recorded(eps):
