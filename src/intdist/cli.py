@@ -5,7 +5,8 @@ Configuration is a single JSON document (``--config``) with flag overrides;
 precedence is flags > file > defaults.  The effective configuration is echoed
 into the output header so every emitted table is self-describing, and results
 are byte-identical across runs for a fixed seed.  Grid points run one after
-another in grid-major order (coupling outer, temperature inner).
+another in grid-major order (coupling outer, temperature inner); each
+coupling's sectors are diagonalized once for all its temperatures.
 """
 
 import argparse
@@ -242,17 +243,7 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-# --------------------------------------------------------------- grid points
-
-def _grid_points(cfg: dict):
-    """(v, beta, temperature) tuples in grid-major order (coupling outer)."""
-    couplings = _grid_values(cfg["coupling_grid"], "coupling_grid")
-    if "temperature_grid" in cfg:
-        temps = _grid_values(cfg["temperature_grid"], "temperature_grid")
-        return [(float(v), 1.0 / float(t), float(t)) for v in couplings for t in temps]
-    beta = cfg["beta"]
-    return [(float(v), float(beta), 1.0 / float(beta)) for v in couplings]
-
+# ----------------------------------------------------------------- grid rows
 
 def _solve_sector(spec: _Model, params: dict, v: float, n: int, keep_vectors: bool = False):
     """The n-particle sector's Hamiltonian at coupling v and its eigensystem.
@@ -285,8 +276,8 @@ def _ground_sector(spec: _Model, params: dict, v: float, levels: list):
     return _solve_sector(spec, params, v, spec.numbers(params)[k], keep_vectors=True)
 
 
-def _spectrum_at(cfg: dict, v: float, beta: float):
-    """Probability spectrum of one grid point.
+def _spectrum_at(cfg: dict, v: float):
+    """What all temperatures at coupling v share: thermal levels or entanglement spectrum.
 
     Each particle-number sector is built and diagonalized on its own, without
     vectors.  The entanglement spectrum is that of the ground state of the
@@ -296,7 +287,7 @@ def _spectrum_at(cfg: dict, v: float, beta: float):
     levels = _levels(spec, params, v)
     energies = np.sort(np.concatenate(levels))
     if cfg["quantity"] == "thermal":
-        return thermal_probabilities(energies, beta)
+        return energies
     gap = energies[1] - energies[0]
     if gap <= DEGENERACY_TOL:
         warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {gap:.3g}): the "
@@ -305,28 +296,39 @@ def _spectrum_at(cfg: dict, v: float, beta: float):
     return reduced_density_spectrum(eig.vectors[:, 0], ground.basis, spec.region(params))
 
 
-def _row(cfg: dict, point, context=None) -> dict:
-    """One grid point's row, its keys in CSV order.
+def _rows(cfg: dict, context=None):
+    """The grid's rows in grid-major order, each row's keys in CSV order.
 
-    Without a context this is a sweep row with ``d_f``; with the context of
-    ``_perturbative_context`` it is a compare row, whose ``exact``,
-    ``perturbative`` and ``abs_diff`` stand where ``d_f`` would.
+    Without a context these are sweep rows with ``d_f``; with the context of
+    ``_perturbative_context`` they are compare rows, whose ``exact``,
+    ``perturbative`` and ``abs_diff`` stand where ``d_f`` would.  ``wall_time_s``
+    runs from the previous row's end: a coupling's first row carries its sectors' EDs.
     """
-    v, beta, temperature = point
+    options = OptimizerOptions(**cfg["optimizer"])
+    params = _configured_model(cfg)[1]
+    if "temperature_grid" in cfg:
+        temps = _grid_values(cfg["temperature_grid"], "temperature_grid")
+        inner = [(1.0 / float(t), float(t)) for t in temps]
+    else:  # validate_config fixes beta = 1 for entanglement
+        inner = [(float(cfg["beta"]), 1.0 / float(cfg["beta"]))]
     start = time.perf_counter()
-    rho = _spectrum_at(cfg, v, beta)  # validate_config fixes beta = 1 for entanglement
-    res = interaction_distance(rho, None, beta, OptimizerOptions(**cfg["optimizer"]))
-    row = {"model": cfg["model"]["type"], "params": _configured_model(cfg)[1],
-           "quantity": cfg["quantity"], "v": v, "beta": beta, "temperature": temperature}
-    if context is None:
-        row["d_f"] = res.value
-    else:
-        pert = _first_order(cfg, context, v, beta)
-        row.update(exact=res.value, perturbative=pert, abs_diff=abs(res.value - pert))
-    row.update(epsilons=list(res.optimal_epsilons),
-               converged=bool(res.optimizer_info["converged"]),
-               wall_time_s=time.perf_counter() - start)
-    return row
+    for v in map(float, _grid_values(cfg["coupling_grid"], "coupling_grid")):
+        shared = _spectrum_at(cfg, v)
+        for beta, temperature in inner:
+            rho = thermal_probabilities(shared, beta) if cfg["quantity"] == "thermal" else shared
+            res = interaction_distance(rho, None, beta, options)
+            row = {"model": cfg["model"]["type"], "params": params, "quantity": cfg["quantity"],
+                   "v": v, "beta": beta, "temperature": temperature}
+            if context is None:
+                row["d_f"] = res.value
+            else:
+                pert = _first_order(cfg, context, v, beta)
+                row.update(exact=res.value, perturbative=pert, abs_diff=abs(res.value - pert))
+            end = time.perf_counter()
+            row.update(epsilons=list(res.optimal_epsilons),
+                       converged=bool(res.optimizer_info["converged"]), wall_time_s=end - start)
+            start = end
+            yield row
 
 
 def _perturbative_context(cfg: dict):
@@ -373,7 +375,7 @@ def _first_order(cfg: dict, context, v: float, beta: float) -> float:
 
 def run_sweep(cfg: dict) -> list:
     """One interaction-distance row per grid point, in grid-major order."""
-    return [_row(cfg, point) for point in _grid_points(cfg)]
+    return list(_rows(cfg))
 
 
 def run_compare(cfg: dict) -> list:
@@ -381,7 +383,7 @@ def run_compare(cfg: dict) -> list:
     if cfg["quantity"] == "entanglement" and cfg["model"]["type"] != "dimer":
         raise ConfigError("compare with quantity=entanglement supports model.type=dimer only")
     context = _perturbative_context(cfg)
-    return [_row(cfg, point, context) for point in _grid_points(cfg)]
+    return list(_rows(cfg, context))
 
 
 def _worker_count() -> int:

@@ -167,7 +167,8 @@ def _chain_cfg(n_sites, v, quantity):
 def _chain_point(n_sites, v, quantity):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # free odd chains warn about their degenerate ground state
-        return _spectrum_at(_chain_cfg(n_sites, v, quantity), v, 1.0)
+        shared = _spectrum_at(_chain_cfg(n_sites, v, quantity), v)
+    return thermal_probabilities(shared, 1.0) if quantity == "thermal" else shared
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -193,7 +194,7 @@ def test_degenerate_ground_state_takes_the_lowest_particle_number(monkeypatch):
 
     monkeypatch.setattr(intdist.cli, "exact_diagonalize", recording)
     with pytest.warns(UserWarning, match="degenerate ground state at v=0"):
-        _spectrum_at(_chain_cfg(5, 0.0, "entanglement"), 0.0, 1.0)
+        _spectrum_at(_chain_cfg(5, 0.0, "entanglement"), 0.0)
     assert with_vectors == [2]
 
 
@@ -201,7 +202,7 @@ def test_entanglement_point_allocates_no_full_space_matrix():
     cfg = _chain_cfg(12, 1.0, "entanglement")
     tracemalloc.start()
     try:
-        _spectrum_at(cfg, 1.0, 1.0)
+        _spectrum_at(cfg, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,6 +258,31 @@ def test_compare_resolves_degeneracies_once_per_run(monkeypatch):
                            "optimizer": FAST_OPT})
     assert len(run_compare(cfg)) == 6
     assert calls == [1, 4, 6, 4, 1]
+
+
+@pytest.mark.parametrize("runner, quantity, solves", [
+    (run_sweep, "thermal", 3 * 5),
+    (run_compare, "thermal", 3 * 5 + 5),  # plus the first-order context's sectors at v = 0
+    (run_sweep, "entanglement", 3 * 6),  # each coupling's ground sector is rebuilt with vectors
+])
+def test_each_coupling_diagonalizes_its_sectors_once(monkeypatch, runner, quantity, solves):
+    # an n=4 chain, whose sectors hold N = 0..4 particles, at 3 couplings (times
+    # 3 temperatures for the thermal quantity, which share their coupling's levels)
+    calls = []
+    solve = intdist.cli._solve_sector
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(intdist.cli, "_solve_sector", counting)
+    temperatures = {"temperature_grid": {"min": 0.5, "max": 2.0, "steps": 3}}
+    cfg = validate_config({"model": {"type": "chain", "n_sites": 4}, "quantity": quantity,
+                           "coupling_grid": {"min": 0.5, "max": 1.5, "steps": 3},
+                           **(temperatures if quantity == "thermal" else {}),
+                           "optimizer": FAST_OPT})
+    assert len(runner(cfg)) == (9 if quantity == "thermal" else 3)
+    assert len(calls) == solves
 
 
 @pytest.mark.parametrize("n, potential", [(n, 0.0) for n in range(2, 11)]
