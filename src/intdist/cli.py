@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
-from .fock import density_density_diagonal
+from .fock import build_basis, density_density_diagonal
+from .free_fermion import diagonalize_kernel
 from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
                      dimer_interaction_matrix, hubbard_dimer, spinless_chain)
 from .perturbation import (DEGENERACY_TOL, degenerate_groups, first_order_reduced_density,
@@ -35,6 +36,10 @@ from .spectra import exact_diagonalize, reduced_density_spectrum, thermal_probab
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+#: Rounding margin, relative to max(1, n_sites x a norm bound of the sector Hamiltonians),
+#: by which a sector's lower bound must clear the two lowest levels for it to be skipped.
+SECTOR_BOUND_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -88,6 +93,7 @@ class _Model:
     sector: Callable             # (params, v, n) -> Hamiltonian over the n-particle sector
     interaction: Callable        # params -> density-density coupling matrix at v = 1
     region: Callable             # params -> modes on one side of the entanglement cut
+    kernel: Callable | None      # params -> one-body kernel; None for a one-sector model
 
 
 # The builders look the model functions up at call time, so wrappers installed
@@ -100,6 +106,7 @@ _MODELS = {
         sector=lambda params, v, n: hubbard_dimer(DimerParams(**params, v=v))[0],
         interaction=lambda params: dimer_interaction_matrix(1.0),
         region=lambda params: DIMER_SITE1_MODES,
+        kernel=None,
     ),
     "chain": _Model(
         fields={"n_sites": None, "hopping": 1.0, "potential": 0.0},
@@ -108,6 +115,7 @@ _MODELS = {
         sector=lambda params, v, n: spinless_chain(ChainParams(**params, interaction=v), n),
         interaction=lambda params: ChainParams(**params, interaction=1.0).interaction_matrix(),
         region=lambda params: tuple(range(max(1, params["n_sites"] // 2))),
+        kernel=lambda params: ChainParams(**params).kernel(),
     ),
 }
 
@@ -263,36 +271,67 @@ def _solve_sector(spec: _Model, params: dict, v: float, n: int, keep_vectors: bo
     return op, eig
 
 
-def _levels(spec: _Model, params: dict, v: float) -> list:
-    """Each sector's ascending levels at coupling v, one sector built and dropped at a time."""
-    return [_solve_sector(spec, params, v, n)[1].energies for n in spec.numbers(params)]
+def _sector_bounds(spec: _Model, params: dict, v: float):
+    """Lower bounds on each sector's lowest level at coupling v, and their rounding margin.
+
+    By Weyl's inequality the n-particle sector's lowest level is at least the sum
+    of the n lowest single-particle energies plus the least entry of the sector's
+    interaction diagonal.  A one-sector model, or one where a sector's diagonal or
+    ``n_sites`` times a norm bound of the sector Hamiltonians is not finite, gets
+    -inf bounds: every sector is solved, so an overflowing one raises as before.
+    """
+    numbers = spec.numbers(params)
+    unbounded = np.full(len(numbers), -np.inf), 0.0
+    if spec.kernel is None:
+        return unbounded
+    eps = diagonalize_kernel(spec.kernel(params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = v * spec.interaction(params)
+        diags = [density_density_diagonal(build_basis(eps.size, n), coupling) for n in numbers]
+        scale = eps.size * (np.abs(eps).sum() + np.max([np.abs(d).max() for d in diags]))
+    if not np.isfinite(scale):
+        return unbounded
+    bounds = np.array([eps[:n].sum() + d.min() for n, d in zip(numbers, diags)])
+    return bounds, SECTOR_BOUND_TOL * max(1.0, scale)
 
 
-def _ground_sector(spec: _Model, params: dict, v: float, levels: list):
-    """``_solve_sector`` with vectors for the lowest particle number whose lowest
-    level in ``levels`` lies within DEGENERACY_TOL of the ground energy."""
-    e0 = min(e[0] for e in levels)
-    k = next(k for k, e in enumerate(levels) if e[0] - e0 <= DEGENERACY_TOL)
-    return _solve_sector(spec, params, v, spec.numbers(params)[k], keep_vectors=True)
+def _ground_state(spec: _Model, params: dict, v: float):
+    """The ground sector with vectors, and the two lowest levels E0 <= E1, at coupling v.
+
+    Sectors are solved without vectors in ascending order of their
+    ``_sector_bounds``, up to the first whose bound exceeds max(E1, E0 +
+    DEGENERACY_TOL) of the levels found so far by more than the rounding margin;
+    no later sector can hold either level.  The ground sector is the lowest
+    particle number whose lowest level lies within DEGENERACY_TOL of E0.
+    """
+    numbers = spec.numbers(params)
+    bounds, margin = _sector_bounds(spec, params, v)
+    lowest, e0, e1 = {}, np.inf, np.inf
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] > max(e1, e0 + DEGENERACY_TOL) + margin:
+            break
+        energies = _solve_sector(spec, params, v, numbers[k])[1].energies
+        lowest[numbers[k]] = energies[0]
+        e0, e1 = sorted([e0, e1, *energies[:2]])[:2]
+    n = min(n for n, e in lowest.items() if e - e0 <= DEGENERACY_TOL)
+    return (*_solve_sector(spec, params, v, n, keep_vectors=True), e0, e1)
 
 
 def _spectrum_at(cfg: dict, v: float):
     """What all temperatures at coupling v share: thermal levels or entanglement spectrum.
 
-    Each particle-number sector is built and diagonalized on its own, without
-    vectors.  The entanglement spectrum is that of the ground state of the
-    ground sector (``_ground_sector``), rebuilt with vectors.
+    Thermal: every particle-number sector is built and diagonalized on its own,
+    without vectors.  Entanglement: the spectrum of the ground state of
+    ``_ground_state``, which skips the sectors that cannot hold the two lowest levels.
     """
     spec, params = _configured_model(cfg)
-    levels = _levels(spec, params, v)
-    energies = np.sort(np.concatenate(levels))
     if cfg["quantity"] == "thermal":
-        return energies
-    gap = energies[1] - energies[0]
-    if gap <= DEGENERACY_TOL:
-        warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {gap:.3g}): the "
+        return np.sort(np.concatenate([_solve_sector(spec, params, v, n)[1].energies
+                                       for n in spec.numbers(params)]))
+    ground, eig, e0, e1 = _ground_state(spec, params, v)
+    if e1 - e0 <= DEGENERACY_TOL:
+        warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {e1 - e0:.3g}): the "
                       "entanglement spectrum is that of one of the ground states", stacklevel=2)
-    ground, eig = _ground_sector(spec, params, v, levels)
     return reduced_density_spectrum(eig.vectors[:, 0], ground.basis, spec.region(params))
 
 
@@ -342,7 +381,7 @@ def _perturbative_context(cfg: dict):
     spec, params = _configured_model(cfg)
     coupling = spec.interaction(params)
     if cfg["quantity"] == "entanglement":
-        ground, eig = _ground_sector(spec, params, 0.0, _levels(spec, params, 0.0))
+        ground, eig = _ground_state(spec, params, 0.0)[:2]
         return first_order_reduced_density(eig, density_density_diagonal(ground.basis, coupling),
                                            ground.basis, spec.region(params))
     splits = [_sector_split(spec, params, coupling, n) for n in spec.numbers(params)]

@@ -10,15 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import intdist.cli
-from intdist.cli import (_FLAGS, _perturbative_context, _spectrum_at, main, render_csv,
-                         run_compare, run_sweep, validate_config)
+from intdist.cli import (_FLAGS, _configured_model, _ground_state, _perturbative_context,
+                         _sector_bounds, _spectrum_at, main, render_csv, run_compare, run_sweep,
+                         validate_config)
 from intdist.fock import density_density_diagonal, popcount
 from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_sector_basis,
                             hubbard_dimer, spinless_chain)
-from intdist.perturbation import (first_order_reduced_density, infer_free_labeling,
-                                  perturbative_dent, resolve_degeneracies)
+from intdist.perturbation import (DEGENERACY_TOL, first_order_reduced_density,
+                                  infer_free_labeling, perturbative_dent, resolve_degeneracies)
 from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 FAST_OPT = {"seed": 7, "restarts": 4, "max_iter": 2000}
@@ -198,6 +201,76 @@ def test_degenerate_ground_state_takes_the_lowest_particle_number(monkeypatch):
     assert with_vectors == [2]
 
 
+def _exhaustive_ground_state(chain: ChainParams):
+    """The reference search: every sector solved, then the lowest particle number
+    whose lowest level lies within DEGENERACY_TOL of E0 rebuilt with vectors."""
+    levels = [exact_diagonalize(spinless_chain(chain, n), keep_vectors=False).energies
+              for n in range(chain.n_sites + 1)]
+    e0, e1 = np.sort(np.concatenate(levels))[:2]
+    n = next(n for n, e in enumerate(levels) if e[0] - e0 <= DEGENERACY_TOL)
+    ground = spinless_chain(chain, n)
+    return ground, exact_diagonalize(ground), e0, e1, levels
+
+
+# values drawn from a small set give exact degeneracies (uniform hopping, V = 0)
+_COUPLING = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _chains(draw):
+    n = draw(st.integers(2, 8))
+    return (n, draw(st.lists(_COUPLING, min_size=n - 1, max_size=n - 1)),
+            draw(st.lists(_COUPLING, min_size=n, max_size=n)), draw(_COUPLING))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains())
+@example((5, [1.0] * 4, [0.0] * 5, 0.0))  # free odd chain: N = 2 and 3 share the ground level
+@example((6, [1.0] * 5, [0.0] * 6, -2.0))  # attraction: the ground state fills the chain
+# N = 2 is solved first and lies 1e-9 below N = 1, which is still the ground sector
+@example((2, [0.0], [-1.0, 1e-9], -1e-9))
+def test_pruned_ground_search_matches_the_exhaustive_search(chain):
+    n, bonds, potential, v = chain
+    hopping = np.diag(bonds, 1) + np.diag(bonds, -1)
+    cfg = validate_config({"model": {"type": "chain", "n_sites": n, "hopping": hopping.tolist(),
+                                     "potential": potential},
+                           "quantity": "entanglement"})
+    spec, params = _configured_model(cfg)
+    ref_ground, ref_eig, ref_e0, ref_e1, levels = _exhaustive_ground_state(
+        ChainParams(**params, interaction=v))
+
+    # Weyl's bound holds up to the rounding margin (at V = 0 it is the exact level)
+    bounds, margin = _sector_bounds(spec, params, v)
+    assert all(b <= e[0] + margin for b, e in zip(bounds, levels))
+
+    ground, eig, e0, e1 = _ground_state(spec, params, v)
+    assert popcount(ground.basis.state_array[0]) == popcount(ref_ground.basis.state_array[0])
+    assert (e0, e1) == (ref_e0, ref_e1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        probs = _spectrum_at(cfg, v).probs
+    assert len(caught) == (ref_e1 - ref_e0 <= DEGENERACY_TOL)
+    assert all(f"E1 - E0 = {ref_e1 - ref_e0:.3g})" in str(w.message) for w in caught)
+    region = tuple(range(n // 2))
+    np.testing.assert_array_equal(
+        probs, reduced_density_spectrum(ref_eig.vectors[:, 0], ref_ground.basis, region).probs)
+
+
+def test_ground_search_solve_order(monkeypatch):
+    # n=12, V=1: N = 6, 5 and 4 hold the two lowest levels or cannot be ruled out;
+    # every other sector's bound clears them, and N = 5 is rebuilt with vectors
+    calls = []
+    solve = intdist.cli._solve_sector
+
+    def recording(spec, params, v, n, keep_vectors=False):
+        calls.append((n, keep_vectors))
+        return solve(spec, params, v, n, keep_vectors)
+
+    monkeypatch.setattr(intdist.cli, "_solve_sector", recording)
+    _spectrum_at(_chain_cfg(12, 1.0, "entanglement"), 1.0)
+    assert calls == [(6, False), (5, False), (4, False), (5, True)]
+
+
 def test_entanglement_point_allocates_no_full_space_matrix():
     cfg = _chain_cfg(12, 1.0, "entanglement")
     tracemalloc.start()
@@ -263,7 +336,9 @@ def test_compare_resolves_degeneracies_once_per_run(monkeypatch):
 @pytest.mark.parametrize("runner, quantity, solves", [
     (run_sweep, "thermal", 3 * 5),
     (run_compare, "thermal", 3 * 5 + 5),  # plus the first-order context's sectors at v = 0
-    (run_sweep, "entanglement", 3 * 6),  # each coupling's ground sector is rebuilt with vectors
+    # N = 2 and 1 solved, then the ground sector N = 2 again with vectors; the bounds
+    # of N = 0, 3 and 4 clear the two lowest levels, so those sectors are skipped
+    (run_sweep, "entanglement", 3 * 3),
 ])
 def test_each_coupling_diagonalizes_its_sectors_once(monkeypatch, runner, quantity, solves):
     # an n=4 chain, whose sectors hold N = 0..4 particles, at 3 couplings (times
@@ -471,6 +546,12 @@ _OVERFLOW_CASES = {
                      "--v-max", "1e308"], {}),
     "chain-compare": (["compare", "--model", "chain", "--n-sites", "4", "--v-min", "1e308",
                        "--v-max", "1e308"], {}),
+    # the overflowing sectors' bounds would clear the two lowest levels: none may be skipped
+    "chain-entanglement": (["sweep", "--model", "chain", "--n-sites", "4", "--quantity",
+                            "entanglement", "--v-min", "1e308", "--v-max", "1e308"], {}),
+    "chain-entanglement-attractive": (["sweep", "--model", "chain", "--n-sites", "4",
+                                       "--quantity", "entanglement", "--v-min=-1e308",
+                                       "--v-max=-1e308"], {}),
 }
 
 
