@@ -14,10 +14,11 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +28,7 @@ from .distance import OptimizerOptions, df_upper_bound, interaction_distance
 from .fock import build_basis, density_density_diagonal
 from .free_fermion import diagonalize_kernel
 from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
-                     dimer_interaction_matrix, hubbard_dimer, spinless_chain)
+                     dimer_interaction_matrix, dimer_kernel, hubbard_dimer, spinless_chain)
 from .perturbation import (DEGENERACY_TOL, degenerate_groups, first_order_reduced_density,
                            infer_free_labeling, perturbative_dent, perturbative_dth,
                            perturbative_free_decomposition, resolve_degeneracies)
@@ -37,7 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-#: Rounding margin, relative to max(1, n_sites x a norm bound of the sector Hamiltonians),
+#: Rounding margin, relative to max(1, mode count x a norm bound of the sector Hamiltonians),
 #: by which a sector's lower bound must clear the two lowest levels for it to be skipped.
 SECTOR_BOUND_TOL = 1e-9
 
@@ -93,7 +94,7 @@ class _Model:
     sector: Callable             # (params, v, n) -> Hamiltonian over the n-particle sector
     interaction: Callable        # params -> density-density coupling matrix at v = 1
     region: Callable             # params -> modes on one side of the entanglement cut
-    kernel: Callable | None      # params -> one-body kernel; None for a one-sector model
+    kernel: Callable             # params -> one-body kernel
 
 
 # The builders look the model functions up at call time, so wrappers installed
@@ -106,7 +107,7 @@ _MODELS = {
         sector=lambda params, v, n: hubbard_dimer(DimerParams(**params, v=v))[0],
         interaction=lambda params: dimer_interaction_matrix(1.0),
         region=lambda params: DIMER_SITE1_MODES,
-        kernel=None,
+        kernel=lambda params: dimer_kernel(DimerParams(**params)),
     ),
     "chain": _Model(
         fields={"n_sites": None, "hopping": 1.0, "potential": 0.0},
@@ -132,7 +133,7 @@ _DEFAULT_CONFIG = {
     "model": {"type": "dimer", **_MODELS["dimer"].fields},
     "quantity": "thermal",
     "coupling_grid": {"min": 0.0, "max": 6.0, "steps": 61},
-    "optimizer": {"seed": 1234, "restarts": 16, "max_iter": 5000},
+    "optimizer": asdict(OptimizerOptions()),
     "output": {"path": None, "format": "csv"},
 }
 
@@ -176,9 +177,15 @@ def _grid_values(spec, name: str) -> np.ndarray:
     _require(steps >= 1, f"{name}.steps must be >= 1")
     _require(lo <= hi, f"{name}.min must not exceed {name}.max")
     _require(_is_number(hi - lo), f"{name}.min and {name}.max must differ by a finite number")
-    if steps == 1:
-        return np.array([lo])
     return np.linspace(lo, hi, steps)
+
+
+def _section(value, name: str, defaults: dict) -> dict:
+    """A config object merged over defaults; it may hold no field that defaults lacks."""
+    _require(isinstance(value, dict), f"{name} must be an object")
+    unknown = set(value) - set(defaults)
+    _require(not unknown, f"{name} has unknown fields {sorted(unknown)}")
+    return {**defaults, **value}
 
 
 def validate_config(raw: dict) -> dict:
@@ -191,10 +198,7 @@ def validate_config(raw: dict) -> dict:
     _require(isinstance(model, dict), "model must be an object")
     _require(model.get("type") in tuple(_MODELS), "model.type must be 'dimer' or 'chain'")
     spec = _MODELS[model["type"]]
-    unknown = set(model) - {"type", *spec.fields}
-    _require(not unknown, f"model has unknown fields {sorted(unknown)}")
-    for key, default in spec.fields.items():
-        model.setdefault(key, default)
+    model = cfg["model"] = _section(model, "model", {"type": None, **spec.fields})
     spec.check({key: model[key] for key in spec.fields})
 
     quantity = cfg.get("quantity")
@@ -227,27 +231,17 @@ def validate_config(raw: dict) -> dict:
                  "beta must be a positive finite number with a finite reciprocal")
         cfg["beta"] = float(beta)
 
-    opt = cfg.get("optimizer", {})
-    _require(isinstance(opt, dict), "optimizer must be an object")
-    merged = _merge(_DEFAULT_CONFIG["optimizer"], opt)
-    unknown = set(merged) - set(_DEFAULT_CONFIG["optimizer"])
-    _require(not unknown, f"optimizer has unknown fields {sorted(unknown)}")
+    opt = cfg["optimizer"] = _section(cfg.get("optimizer", {}), "optimizer",
+                                      _DEFAULT_CONFIG["optimizer"])
     try:
-        OptimizerOptions(**merged)
+        OptimizerOptions(**opt)
     except ValueError as exc:
         raise ConfigError(f"optimizer.{exc}") from exc
-    cfg["optimizer"] = merged
 
-    out = cfg.get("output", {})
-    _require(isinstance(out, dict), "output must be an object")
-    out = _merge(_DEFAULT_CONFIG["output"], out)
-    unknown = set(out) - {"path", "format"}
-    _require(not unknown, f"output has unknown fields {sorted(unknown)}")
+    out = cfg["output"] = _section(cfg.get("output", {}), "output", _DEFAULT_CONFIG["output"])
     _require(out["path"] is None or isinstance(out["path"], str),
              "output.path must be a string or null")
     _require(out["format"] in ("csv", "jsonl"), "output.format must be 'csv' or 'jsonl'")
-    cfg["output"] = out
-    cfg["model"] = model
     return cfg
 
 
@@ -274,23 +268,20 @@ def _solve_sector(spec: _Model, params: dict, v: float, n: int, keep_vectors: bo
 def _sector_bounds(spec: _Model, params: dict, v: float):
     """Lower bounds on each sector's lowest level at coupling v, and their rounding margin.
 
-    By Weyl's inequality the n-particle sector's lowest level is at least the sum
-    of the n lowest single-particle energies plus the least entry of the sector's
-    interaction diagonal.  A one-sector model, or one where a sector's diagonal or
-    ``n_sites`` times a norm bound of the sector Hamiltonians is not finite, gets
-    -inf bounds: every sector is solved, so an overflowing one raises as before.
+    By Weyl's inequality the lowest level of the n-particle sector, or of the dimer's
+    S_z = 0 block within it, is at least the sum of the n lowest single-particle
+    energies plus the least entry of the sector's interaction diagonal.  Where a
+    diagonal or the mode count times a norm bound of the sector Hamiltonians is not
+    finite, every bound is -inf: every sector is solved, so an overflowing one raises.
     """
     numbers = spec.numbers(params)
-    unbounded = np.full(len(numbers), -np.inf), 0.0
-    if spec.kernel is None:
-        return unbounded
     eps = diagonalize_kernel(spec.kernel(params))
     with np.errstate(over="ignore", invalid="ignore"):
         coupling = v * spec.interaction(params)
         diags = [density_density_diagonal(build_basis(eps.size, n), coupling) for n in numbers]
         scale = eps.size * (np.abs(eps).sum() + np.max([np.abs(d).max() for d in diags]))
     if not np.isfinite(scale):
-        return unbounded
+        return np.full(len(numbers), -np.inf), 0.0
     bounds = np.array([eps[:n].sum() + d.min() for n, d in zip(numbers, diags)])
     return bounds, SECTOR_BOUND_TOL * max(1.0, scale)
 
@@ -563,6 +554,12 @@ def main(argv=None) -> int:
     sub.add_parser("bound", help="print the universal upper bound 3 - 2*sqrt(2)")
     sub.add_parser("version", help="print the package version")
 
+    # argparse (Python 3.10 to 3.12) takes a flag's separate value such as -1e-3 for an
+    # option and reports the value missing; it reads --v-min=-1e-3 as meant
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _FLAGS and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     if args.command == "bound":
         print(f"{df_upper_bound():.12g}")

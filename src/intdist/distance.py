@@ -211,17 +211,17 @@ class _Simplices:
 def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
     """Nelder-Mead from every row of x0 at once, with batched objective calls.
 
-    Row r repeats, operation for operation, SciPy's
-    ``minimize(objective, x0[r], method="Nelder-Mead")`` with maxiter=max_iter and
-    the SIMPLEX_ tolerances: the same vertex arithmetic, comparisons and sorts.
-    max_iter is the only budget, as in SciPy when only maxiter is given.  A step
-    builds the four candidate points of every live row.  Up to
+    Row r repeats, operation for operation, SciPy's ``minimize(objective, x0[r],
+    method="Nelder-Mead")`` with maxiter=max_iter and the SIMPLEX_ tolerances: the
+    same vertex arithmetic, comparisons and sorts.  max_iter is the only budget, as
+    in SciPy when only maxiter is given.  One call evaluates every row's first
+    simplex.  A step builds the four candidate points of every live row.  Up to
     FUSED_STEP_MAX_MODES modes one objective call evaluates all of them and the
-    second point is selected, not evaluated; larger fits evaluate the reflections
-    in one call and then the second points in another.  SciPy's comparisons index
-    _STEP_TABLE, which gives the new last vertex and whether the simplex shrinks;
-    a shrink is one call on every moved vertex.  Returns (x, fun, nit, success),
-    one entry per row, bitwise equal to that call's fields.
+    second point is selected, not evaluated; larger fits evaluate the reflections in
+    one call and then the second points in another.  SciPy's comparisons index
+    _STEP_TABLE, which gives the new last vertex and whether the simplex shrinks; a
+    shrink is one call on every moved vertex.  Returns (x, fun, nit, success), one
+    entry per row, bitwise equal to that call's fields.
     """
     m, n = x0.shape
     x, fun, nits, success = np.empty((m, n)), np.empty(m), np.empty(m, int), np.empty(m, bool)
@@ -233,8 +233,7 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
     s.S[:, :, 1:] = x0[:, None]
     k = np.arange(1, n + 1)
     s.S[:, k, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    for j in range(n + 1):
-        s.S[:, j, 0] = objective(s.S[:, j, 1:])
+    s.f[...] = objective(s.S[:, :, 1:])
     s.sort()
     s.sort()  # SciPy sorts the first simplex twice
     ends = np.array([n, 0, n - 1])  # the worst, best and second-worst vertex
@@ -292,15 +291,15 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     beta         : inverse temperature of the Gibbs comparison.
     opts         : OptimizerOptions; defaults are deterministic.
 
-    The search runs a derivative-free simplex descent from several starts:
-    a greedy gap decomposition of the input spectrum, random perturbations
-    of it, and uniform draws over the resolved level range.  Only the starts
-    before the first one whose objective is already at most FLOOR_TOL are
-    searched: D >= 0, so no descent can improve on it by more than FLOOR_TOL.
-    Their Nelder-Mead searches advance in lockstep on batched objective calls,
-    each with the arithmetic of SciPy's Nelder-Mead from its start.  Restart
-    results merge by taking the minimum in restart order, so the outcome is
-    reproducible for a fixed seed.
+    The search runs a derivative-free simplex descent from several starts: a greedy
+    gap decomposition of the input spectrum, random perturbations of it, and uniform
+    draws over the resolved level range.  Only the starts before the first one whose
+    objective is already at most FLOOR_TOL are searched: D >= 0, so no descent can
+    improve on it by more than FLOOR_TOL.  Every start of a zero-mode (one-level)
+    spectrum scores 0, so none is searched.  The searches advance in lockstep on
+    batched objective calls, each with the arithmetic of SciPy's Nelder-Mead from
+    its start.  Restart results merge by taking the minimum in restart order, so the
+    outcome is reproducible for a fixed seed.
     """
     probs = _as_probs(rho)
     if not np.isfinite(beta) or beta <= 0:
@@ -319,10 +318,6 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     target = np.zeros(1 << n_free_modes)
     target[: probs.size] = probs
     objective = _objective_factory(target, beta)
-
-    if n_free_modes == 0:
-        return DistanceResult(float(objective(np.zeros(0))), np.zeros(0), {
-            "converged": True, "restarts": 0, "total_iterations": 0})
 
     levels = _pseudo_levels(probs, beta)
     top = levels[-1]

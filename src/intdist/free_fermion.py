@@ -106,22 +106,20 @@ def _greedy_match(levels, n_modes: int, rtol: float):
     return gaps, subset_sums(gaps), unmatched
 
 
-def greedy_single_particle_gaps(levels, n_modes: int, filler: float = None) -> np.ndarray:
+def greedy_single_particle_gaps(levels, n_modes: int, filler: float) -> np.ndarray:
     """Greedy decomposition of a level list into n_modes single-particle gaps.
 
     The lowest level is taken as the reference; repeatedly, each ascending sum
     of the gaps found so far claims the lowest unclaimed level within
     GREEDY_MATCH_TOL, and the lowest level left unclaimed becomes the next gap.
     Exact for a spectrum with the free subset-sum structure; a heuristic
-    otherwise.  Modes the level list cannot resolve are assigned ``filler``
-    (default: one above the top level) so they carry negligible weight.
+    otherwise.  Modes the level list cannot resolve are assigned ``filler``,
+    which the caller picks high enough that they carry negligible weight.
     """
     lv = np.sort(np.asarray(levels, dtype=float).ravel())
     lv = lv[np.isfinite(lv)]
     if lv.size == 0:
         raise ValueError("no finite levels to decompose")
     lv = lv - lv[0]
-    if filler is None:
-        filler = lv[-1] + 1.0
     gaps, _, _ = _greedy_match(lv, n_modes, GREEDY_MATCH_TOL)
     return np.array(gaps + [filler] * (n_modes - len(gaps)))

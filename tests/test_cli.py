@@ -271,6 +271,16 @@ def test_ground_search_solve_order(monkeypatch):
     assert calls == [(6, False), (5, False), (4, False), (5, True)]
 
 
+@pytest.mark.parametrize("v", [-3.0, 0.0, 2.0, 1e6])
+def test_dimer_sector_bound_holds(v):
+    # the dimer's one block, S_z = 0, holds some of the N = 2 levels, so the N = 2 bound holds
+    spec, params = _configured_model(validate_config({"model": {"type": "dimer"},
+                                                      "quantity": "entanglement"}))
+    bounds, margin = _sector_bounds(spec, params, v)
+    lowest = exact_diagonalize(hubbard_dimer(DimerParams(v=v))[0], keep_vectors=False).energies[0]
+    assert bounds.shape == (1,) and np.isfinite(bounds[0]) and bounds[0] <= lowest + margin
+
+
 def test_entanglement_point_allocates_no_full_space_matrix():
     cfg = _chain_cfg(12, 1.0, "entanglement")
     tracemalloc.start()
@@ -644,6 +654,32 @@ def test_run_sweep_python_api():
     assert rows[0]["d_f"] <= 1e-8
     text = render_csv(cfg, rows)
     assert text.startswith("# config: ")
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_grid_starting_at_negative_zero_prints_zero(steps, capsys):
+    code, out, _ = _run(capsys, ["sweep", "--v-min=-0.0", "--v-max", "1", "--v-steps", str(steps),
+                                 "--restarts", "1", "--max-iter", "20"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
+    assert rows[0]["v"] == "0"
+
+
+# grid flag -> the other flags of a sweep that gives it a negative value in exponent form
+_NEGATIVE_GRID_VALUES = {
+    "--v-min": ["--v-max", "0", "--v-steps", "1"],
+    "--v-max": ["--v-min=-2e-3", "--v-steps", "2"],
+    "--t-min": ["--t-max", "1", "--t-steps", "1"],  # a config error, as with '='
+    "--t-max": ["--t-min=-2e-3", "--t-steps", "1"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_NEGATIVE_GRID_VALUES))
+def test_negative_exponent_value_parses_as_with_equals(flag, capsys):
+    rest = _NEGATIVE_GRID_VALUES[flag] + ["--restarts", "1", "--max-iter", "20"]
+    separate = _run(capsys, ["sweep", flag, "-1e-3"] + rest)
+    assert separate == _run(capsys, ["sweep", f"{flag}=-1e-3"] + rest)
+    assert separate[0] == (0 if flag.startswith("--v") else 2)
 
 
 def test_floats_use_twelve_significant_digits(capsys):

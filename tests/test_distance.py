@@ -189,9 +189,14 @@ def test_rejects_mode_count_beyond_cap():
 
 
 def test_single_entry_spectrum_needs_no_modes():
-    res = interaction_distance(np.array([1.0]), 0, 1.0)
-    assert res.value == 0.0
-    assert res.optimal_epsilons.size == 0
+    # every start of a zero-mode fit scores 0, so the fit leaves through the floor exit
+    opts = OptimizerOptions(restarts=5)
+    for n_free_modes in (0, None):
+        res = interaction_distance(np.array([1.0]), n_free_modes, 1.0, opts)
+        assert res.value == 0.0
+        assert res.optimal_epsilons.size == 0
+        assert res.optimizer_info == {"converged": True, "restarts": opts.restarts,
+                                      "total_iterations": 0}
     assert interaction_distance(np.array([1.0, -1e-15]), 1, 1.0, FAST).value <= 1e-12
 
 
@@ -399,7 +404,8 @@ def test_lockstep_search_matches_scipy_on_nan_and_inf_values(n, max_iter, seed):
 def test_fused_step_makes_one_objective_call(n):
     # up to FUSED_STEP_MAX_MODES modes a step is one call on every live row's four
     # candidates; larger fits call on the reflections and then on the second points.
-    # A shrink adds one call on the n moved vertices of every shrinking row.
+    # A shrink adds one call on the n moved vertices of every shrinking row, and the
+    # first simplex is one call on the n + 1 vertices of every row.
     rng = np.random.default_rng(46)
     target = np.sort(_random_probs(rng, 1 << n) ** 4)[::-1]
     objective = _objective_factory(target / target.sum(), 1.0)
@@ -412,7 +418,8 @@ def test_fused_step_makes_one_objective_call(n):
     x0 = rng.uniform(0.0, 3.0, (5, n))
     _, _, nit, success = _lockstep_nelder_mead(recorded, x0, 5000)
     assert success.all()
-    calls = shapes[n + 1:]  # after the vertices of the first simplex
+    assert shapes[0] == (len(x0), n + 1, n)
+    calls = shapes[1:]  # after the first simplex
     shrinks = [i for i, shape in enumerate(calls) if shape[1:] == (n, n)]
     assert shrinks and all(calls[i][0] <= len(x0) and calls[i - 1][1:] != (n, n) for i in shrinks)
     steps = [shape for i, shape in enumerate(calls) if i not in shrinks]

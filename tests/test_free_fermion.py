@@ -183,7 +183,7 @@ def test_greedy_gap_decomposition_recovers_free_levels():
         nf = int(rng.integers(1, 5))
         eps = np.sort(rng.uniform(0.05, 5, nf))
         levels = np.sort(subset_sums(eps))
-        got = greedy_single_particle_gaps(levels, nf)
+        got = greedy_single_particle_gaps(levels, nf, filler=99.0)
         np.testing.assert_allclose(np.sort(got), eps, atol=1e-8)
 
 
