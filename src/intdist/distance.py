@@ -215,13 +215,15 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
     method="Nelder-Mead")`` with maxiter=max_iter and the SIMPLEX_ tolerances: the
     same vertex arithmetic, comparisons and sorts.  max_iter is the only budget, as
     in SciPy when only maxiter is given.  One call evaluates every row's first
-    simplex.  A step builds the four candidate points of every live row.  Up to
-    FUSED_STEP_MAX_MODES modes one objective call evaluates all of them and the
-    second point is selected, not evaluated; larger fits evaluate the reflections in
-    one call and then the second points in another.  SciPy's comparisons index
-    _STEP_TABLE, which gives the new last vertex and whether the simplex shrinks; a
-    shrink is one call on every moved vertex.  Returns (x, fun, nit, success), one
-    entry per row, bitwise equal to that call's fields.
+    simplex, on m * (n + 1) * 2^n subset sums: 2.8 GB for 16 rows at MAX_MODES, a
+    shrink of every row 2.7 GB, a call on one point per row 134 MB.  A step builds
+    the four candidate points of every live row.  Up to FUSED_STEP_MAX_MODES modes
+    one objective call evaluates all of them and the second point is selected, not
+    evaluated; larger fits evaluate the reflections in one call and then the second
+    points in another.  SciPy's comparisons index _STEP_TABLE, which gives the new
+    last vertex and whether the simplex shrinks; a shrink is one call on every moved
+    vertex.  Returns (x, fun, nit, success), one entry per row, bitwise equal to that
+    call's fields.
     """
     m, n = x0.shape
     x, fun, nits, success = np.empty((m, n)), np.empty(m), np.empty(m, int), np.empty(m, bool)
@@ -295,11 +297,11 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     gap decomposition of the input spectrum, random perturbations of it, and uniform
     draws over the resolved level range.  Only the starts before the first one whose
     objective is already at most FLOOR_TOL are searched: D >= 0, so no descent can
-    improve on it by more than FLOOR_TOL.  Every start of a zero-mode (one-level)
-    spectrum scores 0, so none is searched.  The searches advance in lockstep on
-    batched objective calls, each with the arithmetic of SciPy's Nelder-Mead from
-    its start.  Restart results merge by taking the minimum in restart order, so the
-    outcome is reproducible for a fixed seed.
+    improve on it by more than FLOOR_TOL.  A zero-mode fit has nothing to vary, so it
+    takes the same exit at its first start, whatever that start scores.  The searches
+    advance in lockstep on batched objective calls, each with the arithmetic of
+    SciPy's Nelder-Mead from its start.  Restart results merge by taking the minimum
+    in restart order, so the outcome is reproducible for a fixed seed.
     """
     probs = _as_probs(rho)
     if not np.isfinite(beta) or beta <= 0:
@@ -336,7 +338,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
 
     starts = np.array(starts)
     v0 = objective(starts)
-    at_floor = np.flatnonzero(v0 <= FLOOR_TOL)
+    at_floor = np.flatnonzero((v0 <= FLOOR_TOL) | (n_free_modes == 0))
     searched = at_floor[0] if at_floor.size else len(starts)
     x, fun, nit, success = _lockstep_nelder_mead(objective, starts[:searched], opts.max_iter)
     best_value, best_x, best_success = np.inf, starts[0], False

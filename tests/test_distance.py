@@ -189,14 +189,16 @@ def test_rejects_mode_count_beyond_cap():
 
 
 def test_single_entry_spectrum_needs_no_modes():
-    # every start of a zero-mode fit scores 0, so the fit leaves through the floor exit
+    # a zero-mode fit leaves through the floor exit, also when its weight is off 1
+    # by less than NORM_TOL and so every start scores above FLOOR_TOL
     opts = OptimizerOptions(restarts=5)
-    for n_free_modes in (0, None):
-        res = interaction_distance(np.array([1.0]), n_free_modes, 1.0, opts)
-        assert res.value == 0.0
-        assert res.optimal_epsilons.size == 0
-        assert res.optimizer_info == {"converged": True, "restarts": opts.restarts,
-                                      "total_iterations": 0}
+    for p in (1.0, 1 - 1e-11, 1 + 5e-11):
+        for n_free_modes in (0, None):
+            res = interaction_distance(np.array([p]), n_free_modes, 1.0, opts)
+            assert res.value == 0.5 * abs(p - 1.0)
+            assert res.optimal_epsilons.size == 0
+            assert res.optimizer_info == {"converged": True, "restarts": opts.restarts,
+                                          "total_iterations": 0}
     assert interaction_distance(np.array([1.0, -1e-15]), 1, 1.0, FAST).value <= 1e-12
 
 
