@@ -141,28 +141,15 @@ _KNOWN_TOP = set(_DEFAULT_CONFIG) | {"beta", "temperature_grid"}
 
 
 def _merge(base: dict, override: dict) -> dict:
+    """override merged into base, object by object; an object whose ``type`` changes
+    replaces the base one, since merging would leave stale fields of the other type."""
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+        old = out.get(key)
+        merge = isinstance(value, dict) and isinstance(old, dict) and (
+            value.get("type", old.get("type")) == old.get("type"))
+        out[key] = _merge(old, value) if merge else value
     return out
-
-
-def _model_type(cfg: dict):
-    model = cfg.get("model")
-    return model.get("type") if isinstance(model, dict) else None
-
-
-def _merge_config(base: dict, override: dict) -> dict:
-    # changing model.type replaces the model section; merging would leave
-    # stale fields of the other model behind
-    new_type = _model_type(override)
-    if new_type is not None and new_type != _model_type(base):
-        base = dict(base)
-        base["model"] = {}
-    return _merge(base, override)
 
 
 def _grid_values(spec, name: str) -> np.ndarray:
@@ -528,8 +515,8 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must contain a JSON object")
-        cfg = _merge_config(cfg, file_cfg)
-    return validate_config(_merge_config(cfg, _overrides_from_args(args)))
+        cfg = _merge(cfg, file_cfg)
+    return validate_config(_merge(cfg, _overrides_from_args(args)))
 
 
 def _grid_command(args, runner) -> int:

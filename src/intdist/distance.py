@@ -105,12 +105,24 @@ def _pseudo_levels(probs: np.ndarray, beta: float) -> np.ndarray:
     return np.log(p[0] / p) / beta
 
 
+#: Most subset-sum levels one objective call holds at once (32 MB of float64); a larger
+#: batch is evaluated in row chunks, so a fit at MAX_MODES = 20 holds 4 rows at a time.
+OBJECTIVE_LEVEL_BUDGET = 1 << 22
+
+
 def _objective_factory(target_desc: np.ndarray, beta: float):
     target = np.ascontiguousarray(target_desc[::-1])  # ascending; zeros lead
 
     def objective(eps: np.ndarray):
-        # one value per row of eps, a scalar for 1-D eps; boltzmann_weights is inlined
-        # and worked in place: a fit makes hundreds to thousands of batched calls
+        # one value per row of eps, a scalar for 1-D eps; rows are independent, so a
+        # chunk's values are bitwise those of the whole batch
+        rows = max(1, OBJECTIVE_LEVEL_BUDGET >> eps.shape[-1])
+        if math.prod(eps.shape[:-1]) > rows:
+            flat = eps.reshape(-1, eps.shape[-1])
+            values = [objective(flat[i:i + rows]) for i in range(0, len(flat), rows)]
+            return np.concatenate(values).reshape(eps.shape[:-1])
+        # boltzmann_weights is inlined and worked in place: a fit makes hundreds to
+        # thousands of batched calls
         q = subset_sums(eps)
         q -= np.minimum.reduce(q, -1, keepdims=True)
         q *= -beta
@@ -162,14 +174,14 @@ class _Simplices:
     """The live rows' simplices and step blocks, and the views a step works through.
 
     Row r's simplex S[r] is an (n+1, 1+n) block, each vertex its value and then its
-    point, sorted by value (NaN last) between steps; T[r] receives it sorted.  Its step
-    block C[r] holds the _R.._W slots, value first, and B[r] _scipy_step's comparisons,
-    one per bit.  The views are taken once per set of live rows: slicing costs as much
-    as the small ufunc calls of a step.
+    point, sorted by value (NaN last) between steps.  Its step block C[r] holds the
+    _R.._W slots, value first, and B[r] _scipy_step's comparisons, one per bit.  The
+    views are taken once per set of live rows: slicing costs as much as the small ufunc
+    calls of a step.
     """
 
-    def __init__(self, S, T, C, B):
-        self.S, self.T, self.C, self.B = S, T, C, B
+    def __init__(self, S, C, B):
+        self.S, self.C, self.B = S, C, B
         m, size = S.shape[:2]
         self.at, self.first = np.arange(m), np.arange(0, m * size, size)[:, None]
         self.f, self.f0, self.fw = S[:, :, 0], S[:, 0, 0], S[:, -1, 0]
@@ -184,14 +196,13 @@ class _Simplices:
         """The live rows, moved to the front of the same buffers."""
         k = np.count_nonzero(live)
         self.S[:k] = self.S[live]
-        return _Simplices(*(a[:k] for a in (self.S, self.T, self.C, self.B)))
+        return _Simplices(*(a[:k] for a in (self.S, self.C, self.B)))
 
     def sort(self):
         """Order each simplex by value with SciPy's argsort."""
         ind = self.f.argsort(1)
         ind += self.first
-        self.flat.take(ind, 0, out=self.T, mode="clip")
-        self.S[...] = self.T
+        self.S[...] = self.flat.take(ind, 0)
 
     def table_index(self, reflection_only=False):
         """Each row's _STEP_TABLE index from the values in its step block.
@@ -215,23 +226,21 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, max_iter: int):
     method="Nelder-Mead")`` with maxiter=max_iter and the SIMPLEX_ tolerances: the
     same vertex arithmetic, comparisons and sorts.  max_iter is the only budget, as
     in SciPy when only maxiter is given.  One call evaluates every row's first
-    simplex, on m * (n + 1) * 2^n subset sums: 2.8 GB for 16 rows at MAX_MODES, a
-    shrink of every row 2.7 GB, a call on one point per row 134 MB.  A step builds
-    the four candidate points of every live row.  Up to FUSED_STEP_MAX_MODES modes
-    one objective call evaluates all of them and the second point is selected, not
-    evaluated; larger fits evaluate the reflections in one call and then the second
-    points in another.  SciPy's comparisons index _STEP_TABLE, which gives the new
-    last vertex and whether the simplex shrinks; a shrink is one call on every moved
-    vertex.  Returns (x, fun, nit, success), one entry per row, bitwise equal to that
-    call's fields.
+    simplex; like every call, it holds at most OBJECTIVE_LEVEL_BUDGET subset sums at
+    a time.  A step builds the four candidate points of every live row.  Up to
+    FUSED_STEP_MAX_MODES modes one objective call evaluates all of them and the second
+    point is selected, not evaluated; larger fits evaluate the reflections in one call
+    and then the second points in another.  SciPy's comparisons index _STEP_TABLE,
+    which gives the new last vertex and whether the simplex shrinks; a shrink is one
+    call on every moved vertex.  Returns (x, fun, nit, success), one entry per row,
+    bitwise equal to that call's fields.
     """
     m, n = x0.shape
     x, fun, nits, success = np.empty((m, n)), np.empty(m), np.empty(m, int), np.empty(m, bool)
     if not m:
         return x, fun, nits, success
     fused = n <= FUSED_STEP_MAX_MODES
-    s = _Simplices(np.empty((m, n + 1, 1 + n)), np.empty((m, n + 1, 1 + n)), np.zeros((m, 7, 1 + n)),
-                   np.zeros((m, 8), bool))
+    s = _Simplices(np.empty((m, n + 1, 1 + n)), np.zeros((m, 7, 1 + n)), np.zeros((m, 8), bool))
     s.S[:, :, 1:] = x0[:, None]
     k = np.arange(1, n + 1)
     s.S[:, k, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
@@ -307,7 +316,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be finite and positive, got {beta}")
     if n_free_modes is None:
-        n_free_modes = max(0, math.ceil(math.log2(probs.size)))
+        n_free_modes = math.ceil(math.log2(probs.size))
     n_free_modes = _integer("n_free_modes", n_free_modes, 0)
     if n_free_modes > MAX_MODES:
         raise ValueError(f"n_free_modes={n_free_modes} exceeds the cap MAX_MODES={MAX_MODES}")

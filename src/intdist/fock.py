@@ -22,16 +22,10 @@ import numpy as np
 MAX_MODES = 20
 HERMITICITY_TOL = 1e-12
 
-_POPCOUNT8 = np.array([bin(k).count("1") for k in range(256)], dtype=np.int64)
-
 
 def popcount(states) -> np.ndarray:
-    """Number of set bits of each entry of an integer array (entries < 2**MAX_MODES)."""
-    s = np.asarray(states, dtype=np.int64)
-    out = np.zeros(s.shape, dtype=np.int64)
-    for shift in range(0, MAX_MODES, 8):
-        out += _POPCOUNT8[(s >> shift) & 0xFF]
-    return out
+    """Set bits of each entry of a non-negative integer array as int64 (bitwise_count gives uint8)."""
+    return np.bitwise_count(np.asarray(states, dtype=np.int64)).astype(np.int64)
 
 
 class OccupationBasis:

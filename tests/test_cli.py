@@ -484,6 +484,7 @@ _CONFIG_FILE_ERRORS = [
     ({"model": {"type": "chain", "n_sites": 1}, "quantity": "entanglement"}, "model.n_sites"),
     ({"model": {"type": "dimer", "t": True}}, "model.t"),
     ({"model": 3}, "model"),
+    ({"model": "chain"}, "model must be an object"),
     ({"optimizer": {"seed": -1}}, "optimizer.seed"),
     ({"optimizer": {"restarts": True}}, "optimizer.restarts"),
     ({"coupling_grid": {"min": 0, "max": "inf", "steps": 2}}, "coupling_grid.max"),
@@ -547,6 +548,13 @@ _PRECEDENCE_CASES = {
 }
 
 
+# the echoed model after a chain file with hopping 0.5 and a model flag
+_MODEL_AFTER_FLAG = {
+    "--model": {"type": "dimer", "t": 1.0, "delta1": 1.0, "delta2": -1.0},
+    "--n-sites": {"type": "chain", "n_sites": 3, "hopping": 0.5, "potential": 0.0},
+}
+
+
 # finite configs whose Hamiltonian overflows the float range
 _OVERFLOW_CASES = {
     "dimer-thermal": (["sweep"], {"model": {"type": "dimer", "t": 1e308}}),
@@ -604,7 +612,7 @@ def test_flag_overrides_config_file(flag, tmp_path, capsys):
     cfg = {"coupling_grid": {"min": 0.0, "max": 1.0, "steps": 1},
            "optimizer": {"seed": 1, "restarts": 1, "max_iter": 20}}
     if path[0] == "model":
-        cfg["model"] = {"type": "chain", "n_sites": 2}
+        cfg["model"] = {"type": "chain", "n_sites": 2, "hopping": 0.5}
     if path[0] == "temperature_grid":
         cfg["temperature_grid"] = {"min": 1.0, "max": 2.0, "steps": 1}
     (cfg if len(path) == 1 else cfg.setdefault(path[0], {}))[path[-1]] = file_value
@@ -618,6 +626,18 @@ def test_flag_overrides_config_file(flag, tmp_path, capsys):
     else:
         echoed = json.loads(first)["config"]
     assert (echoed if len(path) == 1 else echoed[path[0]])[path[-1]] == flag_value
+    if path[0] == "model":  # a new model type replaces the file's model, the same type merges
+        assert echoed["model"] == _MODEL_AFTER_FLAG[flag]
+
+
+def test_n_sites_flag_replaces_a_dimer_file_model(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"type": "dimer", "t": 2.0}}))
+    code, out, _ = _run(capsys, ["sweep", "--config", str(cfg_path), "--n-sites", "6",
+                                 "--v-steps", "1", "--restarts", "1", "--max-iter", "20"])
+    assert code == 0
+    echoed = json.loads(out.splitlines()[0][len("# config: "):])
+    assert echoed["model"] == {"type": "chain", "n_sites": 6, "hopping": 1.0, "potential": 0.0}
 
 
 def test_unwritable_output_path(capsys):

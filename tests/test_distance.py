@@ -452,3 +452,28 @@ def test_no_objective_call_on_zero_rows(monkeypatch, case):
         interaction_distance(target / target.sum(), 7, 1.0, OptimizerOptions(restarts=4, max_iter=300))
     assert shapes and all(len(shape) == 1 or shape[0] for shape in shapes)
 
+
+@pytest.mark.parametrize("n", [FUSED_STEP_MAX_MODES, FUSED_STEP_MAX_MODES + 1])
+def test_objective_chunks_above_the_level_budget_bitwise(monkeypatch, n):
+    # with a budget of one row, every objective call on several points is made in chunks
+    rng = np.random.default_rng(48)
+    p = _random_probs(rng, 1 << n) ** 4
+    p /= p.sum()
+    opts = OptimizerOptions(seed=5, restarts=4, max_iter=200)
+    sizes = []
+
+    def recorded(eps):
+        levels = subset_sums(eps)
+        sizes.append(levels.size)
+        return levels
+
+    monkeypatch.setattr(distance, "subset_sums", recorded)
+    whole = interaction_distance(p, n, 1.0, opts)
+    assert max(sizes) > 1 << n
+    sizes.clear()
+    monkeypatch.setattr(distance, "OBJECTIVE_LEVEL_BUDGET", 1 << n)
+    chunked = interaction_distance(p, n, 1.0, opts)
+    assert max(sizes) <= 1 << n
+    assert np.float64(chunked.value).tobytes() == np.float64(whole.value).tobytes()
+    assert chunked.optimal_epsilons.tobytes() == whole.optimal_epsilons.tobytes()
+    assert chunked.optimizer_info == whole.optimizer_info

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from intdist.fock import (ManyBodyOperator, OccupationBasis, build_basis, build_density_density,
-                          build_quadratic)
+                          build_quadratic, popcount)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -264,3 +264,12 @@ def test_basis_rejects_duplicates_and_out_of_range():
         OccupationBasis(2, (0, 4))
     with pytest.raises(ValueError, match="n_modes"):
         OccupationBasis(21, (0,))
+
+
+def test_popcount_counts_set_bits_as_int64():
+    rng = np.random.default_rng(0)
+    states = np.concatenate([np.arange(1 << 14), rng.integers(0, 1 << 20, 4096)])
+    counts = popcount(states)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [bin(k).count("1") for k in states.tolist()]
+    assert set((1 - 2 * (counts & 1)).tolist()) == {-1, 1}  # build_quadratic's sign
