@@ -27,8 +27,8 @@ from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
 from .fock import build_basis, density_density_diagonal
 from .free_fermion import diagonalize_kernel
-from .models import (DIMER_SITE1_MODES, MAX_CHAIN_SITES, ChainParams, DimerParams,
-                     dimer_interaction_matrix, dimer_kernel, hubbard_dimer, spinless_chain)
+from .models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_interaction_matrix,
+                     dimer_kernel, hubbard_dimer, spinless_chain)
 from .perturbation import (DEGENERACY_TOL, degenerate_groups, first_order_reduced_density,
                            infer_free_labeling, perturbative_dent, perturbative_dth,
                            perturbative_free_decomposition, resolve_degeneracies)
@@ -69,10 +69,10 @@ def _check_dimer(params: dict):
 
 
 def _check_chain(params: dict):
-    n_sites = params["n_sites"]
-    _require(_is_int(n_sites) and 1 <= n_sites <= MAX_CHAIN_SITES,
-             f"model.n_sites must be an integer in [1, {MAX_CHAIN_SITES}]")
-    chain = ChainParams(**params)
+    try:
+        chain = ChainParams(**params)
+    except ValueError as exc:  # the one field ChainParams checks: n_sites
+        raise ConfigError(f"model.{exc}") from exc
     for key, build in (("hopping", chain.hopping_matrix), ("potential", chain.potential_vector)):
         try:
             finite = not isinstance(params[key], bool) and bool(np.isfinite(build()).all())
@@ -257,16 +257,19 @@ def _sector_bounds(spec: _Model, params: dict, v: float):
 
     By Weyl's inequality the lowest level of the n-particle sector, or of the dimer's
     S_z = 0 block within it, is at least the sum of the n lowest single-particle
-    energies plus the least entry of the sector's interaction diagonal.  Where a
-    diagonal or the mode count times a norm bound of the sector Hamiltonians is not
+    energies plus the least entry of the sector's interaction diagonal.  Where the kernel,
+    a diagonal or the mode count times a norm bound of the sector Hamiltonians is not
     finite, every bound is -inf: every sector is solved, so an overflowing one raises.
     """
     numbers = spec.numbers(params)
-    eps = diagonalize_kernel(spec.kernel(params))
     with np.errstate(over="ignore", invalid="ignore"):
-        coupling = v * spec.interaction(params)
-        diags = [density_density_diagonal(build_basis(eps.size, n), coupling) for n in numbers]
-        scale = eps.size * (np.abs(eps).sum() + np.max([np.abs(d).max() for d in diags]))
+        try:
+            eps = diagonalize_kernel(spec.kernel(params))
+            coupling = v * spec.interaction(params)
+            diags = [density_density_diagonal(build_basis(eps.size, n), coupling) for n in numbers]
+            scale = eps.size * (np.abs(eps).sum() + np.max([np.abs(d).max() for d in diags]))
+        except ValueError:  # symmetric_matrix rejects a kernel that is not finite
+            scale = np.inf
     if not np.isfinite(scale):
         return np.full(len(numbers), -np.inf), 0.0
     bounds = np.array([eps[:n].sum() + d.min() for n, d in zip(numbers, diags)])

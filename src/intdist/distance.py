@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import MAX_MODES
+from .fock import MAX_MODES, integer
 from .free_fermion import greedy_single_particle_gaps, subset_sums
-from .spectra import ProbabilitySpectrum
+from .spectra import ProbabilitySpectrum, inverse_temperature
 
 #: Nelder-Mead stopping tolerances on the simplex size and on its objective spread.
 SIMPLEX_XATOL = 1e-10
@@ -27,15 +27,6 @@ FLOOR_TOL = 10 * SIMPLEX_FATOL
 MIN_START_SPAN = 1e-3
 #: Gibbs weight exponent beyond which an unresolvable free mode is parked.
 _NEGLIGIBLE_EXPONENT = 46.0
-
-
-def _integer(name: str, value, lowest: int) -> int:
-    """value as an int; a Python or numpy integer (not bool) of at least lowest."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < lowest:
-        raise ValueError(f"{name} must be >= {lowest}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,7 @@ class OptimizerOptions:
 
     def __post_init__(self):
         for name, lowest in (("seed", 0), ("restarts", 1), ("max_iter", 1)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), lowest))
+            object.__setattr__(self, name, integer(name, getattr(self, name), lowest))
 
 
 @dataclass(frozen=True)
@@ -87,11 +78,7 @@ def trace_distance_sorted(p, q) -> float:
     pv = _as_probs(p)
     qv = _as_probs(q)
     n = max(pv.size, qv.size)
-    ps = np.zeros(n)
-    qs = np.zeros(n)
-    ps[: pv.size] = pv
-    qs[: qv.size] = qv
-    return 0.5 * float(np.abs(ps - qs).sum())
+    return 0.5 * float(np.abs(np.pad(pv, (0, n - pv.size)) - np.pad(qv, (0, n - qv.size))).sum())
 
 
 def df_upper_bound() -> float:
@@ -313,11 +300,10 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     in restart order, so the outcome is reproducible for a fixed seed.
     """
     probs = _as_probs(rho)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
+    beta = inverse_temperature(beta)
     if n_free_modes is None:
         n_free_modes = math.ceil(math.log2(probs.size))
-    n_free_modes = _integer("n_free_modes", n_free_modes, 0)
+    n_free_modes = integer("n_free_modes", n_free_modes, 0)
     if n_free_modes > MAX_MODES:
         raise ValueError(f"n_free_modes={n_free_modes} exceeds the cap MAX_MODES={MAX_MODES}")
     if (1 << n_free_modes) < probs.size:
@@ -326,8 +312,7 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
         )
     opts = opts or OptimizerOptions()
 
-    target = np.zeros(1 << n_free_modes)
-    target[: probs.size] = probs
+    target = np.pad(probs, (0, (1 << n_free_modes) - probs.size))
     objective = _objective_factory(target, beta)
 
     levels = _pseudo_levels(probs, beta)

@@ -28,6 +28,23 @@ def popcount(states) -> np.ndarray:
     return np.bitwise_count(np.asarray(states, dtype=np.int64)).astype(np.int64)
 
 
+def readonly(value, dtype) -> np.ndarray:
+    """value as a read-only array of dtype; an array already of dtype is frozen in place."""
+    arr = np.asarray(value, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def integer(name: str, value, lowest: int, highest: float = np.inf) -> int:
+    """value as an int: a Python or numpy integer (not bool) in [lowest, highest]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lowest <= value <= highest:
+        bound = f"in [{lowest}, {highest}]" if highest < np.inf else f">= {lowest}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 class OccupationBasis:
     """Ordered collection of occupation bitstrings for ``n_modes`` fermionic modes.
 
@@ -38,8 +55,7 @@ class OccupationBasis:
     """
 
     def __init__(self, n_modes: int, states):
-        if not 0 <= n_modes <= MAX_MODES:
-            raise ValueError(f"n_modes must be in [0, {MAX_MODES}], got {n_modes}")
+        n_modes = integer("n_modes", n_modes, 0, MAX_MODES)
         arr = np.array(states, dtype=np.int64).reshape(-1)
         bad = (arr < 0) | (arr >= 1 << n_modes)
         if bad.any():
@@ -48,11 +64,9 @@ class OccupationBasis:
         table[arr] = np.arange(arr.size)
         if (table[arr] != np.arange(arr.size)).any():
             raise ValueError("basis states must be unique")
-        arr.flags.writeable = False
-        table.flags.writeable = False
-        self.n_modes = int(n_modes)
-        self.state_array = arr
-        self.index_of = table
+        self.n_modes = n_modes
+        self.state_array = readonly(arr, np.int64)
+        self.index_of = readonly(table, np.int64)
 
     @property
     def dim(self) -> int:
@@ -75,8 +89,8 @@ class ManyBodyOperator:
     occupation count when every matrix element between different counts is
     exactly zero, else one block holding the whole basis in basis order.  A
     one-block operator's sub-matrix is ``matrix`` itself.  Validation is one
-    pass: the cross-number check plus Hermiticity of each block (within
-    HERMITICITY_TOL), which together give Hermiticity of the whole matrix.
+    pass: the cross-number check plus ``symmetric_matrix`` on each block,
+    which together give a finite, Hermitian whole matrix.
     """
 
     basis: OccupationBasis
@@ -92,13 +106,11 @@ class ManyBodyOperator:
         blocks = [(idx, m[np.ix_(idx, idx)]) for idx in groups] if len(groups) > 1 else []
         if not blocks or sum(np.count_nonzero(s) for _, s in blocks) != np.count_nonzero(m):
             blocks = [(np.arange(self.basis.dim), m)]
-        if not all(np.abs(s - s.T).max(initial=0.0) <= HERMITICITY_TOL for _, s in blocks):
-            raise ValueError("operator matrix is not Hermitian")
-        m.flags.writeable = False
-        for idx, s in blocks:
-            idx.flags.writeable = s.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        for _, s in blocks:
+            symmetric_matrix(s, len(s), "operator matrix")
+        object.__setattr__(self, "matrix", readonly(m, float))
+        object.__setattr__(self, "blocks", tuple((readonly(idx, np.intp), readonly(s, float))
+                                                 for idx, s in blocks))
 
     @property
     def dim(self) -> int:
@@ -114,10 +126,10 @@ def build_basis(n_modes: int, n_particles: Optional[int] = None) -> OccupationBa
     n_particles : optional particle number the states must hold; a number
                   no state holds raises rather than returning an empty basis.
     """
-    if not 1 <= n_modes <= MAX_MODES:
-        raise ValueError(f"n_modes must be in [1, {MAX_MODES}], got {n_modes}")
+    n_modes = integer("n_modes", n_modes, 1, MAX_MODES)
     states = np.arange(1 << n_modes, dtype=np.int64)
     if n_particles is not None:
+        n_particles = integer("n_particles", n_particles, 0)
         states = states[popcount(states) == n_particles]
         if not states.size:
             raise ValueError(f"n_particles={n_particles} admits no states for {n_modes} modes")
@@ -125,24 +137,27 @@ def build_basis(n_modes: int, n_particles: Optional[int] = None) -> OccupationBa
 
 
 def symmetric_matrix(value, n: int, what: str, size_name: str = "n_modes") -> np.ndarray:
-    """``value`` as a real ``n x n`` array, symmetric within HERMITICITY_TOL; raises otherwise."""
+    """``value`` as a real ``n x n`` array, finite and symmetric within HERMITICITY_TOL; raises
+    otherwise.  The package's one Hermiticity test, with one ``n x n`` temporary."""
     m = np.asarray(value, dtype=float)
     if m.shape != (n, n):
         raise ValueError(f"{what} shape {m.shape} does not match {size_name}={n}")
-    if np.abs(m - m.T).max(initial=0.0) > HERMITICITY_TOL:
-        raise ValueError(f"{what} is not Hermitian: not symmetric within {HERMITICITY_TOL:g}")
+    asymmetry = np.subtract(m, m.T)
+    if not np.abs(asymmetry, out=asymmetry).max(initial=0.0) <= HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian: not finite and symmetric within "
+                         f"{HERMITICITY_TOL:g}")
     return m
 
 
 def build_quadratic(basis: OccupationBasis, kernel, diagonal=None) -> ManyBodyOperator:
     """Lift a one-body kernel sum_ij h_ij c_i^dag c_j to the many-body basis.
 
-    The kernel must be real symmetric within HERMITICITY_TOL and match
-    basis.n_modes.  The result commutes with total particle number; if the
-    kernel couples states outside a restricted basis sector, that is an
-    error.  ``diagonal`` (length basis.dim, e.g. from density_density_diagonal)
-    is added to the lifted matrix, so a Hamiltonian with a diagonal
-    interaction is assembled and validated as one matrix.
+    The kernel must pass ``symmetric_matrix`` (finite, real symmetric within
+    HERMITICITY_TOL) and match basis.n_modes.  The result commutes with total
+    particle number; if the kernel couples states outside a restricted basis
+    sector, that is an error.  ``diagonal`` (length basis.dim, e.g. from
+    density_density_diagonal) is added to the lifted matrix, so a Hamiltonian
+    with a diagonal interaction is assembled and validated as one matrix.
 
     Each i != j term maps an occupied-j, empty-i state to one target with
     the sign given by the parity of the occupied modes strictly between i

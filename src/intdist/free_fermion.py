@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import MAX_MODES, symmetric_matrix
+from .fock import MAX_MODES, readonly, symmetric_matrix
 from .spectra import ProbabilitySpectrum, thermal_probabilities
 
 #: Relative tolerance (times max(1, top level)) for matching subset sums to levels.
@@ -30,8 +30,7 @@ class FreeSpectrumParams:
         eps = np.sort(np.asarray(self.epsilons, dtype=float).ravel())
         if not np.all(np.isfinite(eps)) or not np.isfinite(self.e0):
             raise ValueError("free-spectrum parameters must be finite")
-        eps.flags.writeable = False
-        object.__setattr__(self, "epsilons", eps)
+        object.__setattr__(self, "epsilons", readonly(eps, float))
 
     @property
     def n_modes(self) -> int:

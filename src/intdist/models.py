@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (ManyBodyOperator, OccupationBasis, build_basis, build_quadratic,
-                   density_density_diagonal, symmetric_matrix)
+                   density_density_diagonal, integer, symmetric_matrix)
 from .spectra import MAX_DIM
 
 #: Longest chain the CLI and ChainParams accept: the largest whose Fock space
@@ -94,16 +94,15 @@ class ChainParams:
     interaction: object = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.n_sites <= MAX_CHAIN_SITES:
-            raise ValueError(f"n_sites must be in [1, {MAX_CHAIN_SITES}], got {self.n_sites}")
+        integer("n_sites", self.n_sites, 1, MAX_CHAIN_SITES)
 
     def _bond_matrix(self, value, name: str) -> np.ndarray:
         n = self.n_sites
         if np.isscalar(value):
             m = np.zeros((n, n))
-            for i in range(n - 1):
-                m[i, i + 1] = m[i + 1, i] = float(value)
-            return m
+            i = np.arange(n - 1)
+            m[i, i + 1] = m[i + 1, i] = float(value)
+            value = m
         return symmetric_matrix(value, n, f"{name} matrix", "n_sites")
 
     def hopping_matrix(self) -> np.ndarray:

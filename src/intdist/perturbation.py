@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import readonly
 from .free_fermion import _greedy_match, match_tolerance, subset_sums
-from .spectra import EigenSystem, amplitude_matrix, boltzmann_weights
+from .spectra import EigenSystem, amplitude_matrix, boltzmann_weights, energy_list
 
 #: Levels closer than this are one degenerate group.
 DEGENERACY_TOL = 1e-8
@@ -47,13 +48,8 @@ class PerturbativeDecomposition:
     e_vacuum: float
 
     def __post_init__(self):
-        for name in ("epsilons_tilde", "delta_e"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        pat = np.asarray(self.pattern, dtype=np.int64)
-        pat.flags.writeable = False
-        object.__setattr__(self, "pattern", pat)
+        for name, dtype in (("epsilons_tilde", float), ("delta_e", float), ("pattern", np.int64)):
+            object.__setattr__(self, name, readonly(getattr(self, name), dtype))
 
     def free_part(self) -> np.ndarray:
         """Subset sums of epsilons_tilde over the stored patterns."""
@@ -126,11 +122,7 @@ def infer_free_labeling(energies, tol: float = LABELING_TOL):
     any free labeling within tol.  Ties are resolved deterministically:
     equal-energy states take patterns in ascending bitstring order.
     """
-    lv = np.asarray(energies, dtype=float).ravel()
-    if lv.size == 0:
-        raise ValueError("energies must not be empty")
-    if not np.isfinite(lv).all():
-        raise ValueError("energies must be finite")
+    lv = energy_list(energies).ravel()
     if np.any(np.diff(lv) < -tol):
         raise ValueError("energies must be ascending")
     n_states = lv.size

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import ManyBodyOperator, OccupationBasis, popcount
+from .fock import ManyBodyOperator, OccupationBasis, popcount, readonly
 
 MAX_DIM = 1 << 14
 #: Probabilities below this are clamped to 0; anything below its negative is an error.
@@ -28,13 +28,9 @@ class EigenSystem:
     vectors: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        e.flags.writeable = False
-        object.__setattr__(self, "energies", e)
+        object.__setattr__(self, "energies", readonly(self.energies, float))
         if self.vectors is not None:
-            v = np.asarray(self.vectors, dtype=float)
-            v.flags.writeable = False
-            object.__setattr__(self, "vectors", v)
+            object.__setattr__(self, "vectors", readonly(self.vectors, float))
 
 
 @dataclass(frozen=True)
@@ -60,8 +56,7 @@ class ProbabilitySpectrum:
         if not abs(total - 1.0) <= NORM_TOL:  # written so that a NaN sum fails too
             raise ValueError(f"not a normalized probability vector: sum={total}")
         p[::-1].sort()
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", readonly(p, float))
 
     def __len__(self):
         return self.probs.size
@@ -96,16 +91,27 @@ def exact_diagonalize(op: ManyBodyOperator, keep_vectors: bool = True) -> EigenS
     return EigenSystem(energies[order], vectors)
 
 
-def boltzmann_weights(energies, beta: float) -> np.ndarray:
-    """exp(-beta E_k) / Z, stabilized by subtracting the minimum energy."""
+def inverse_temperature(beta) -> float:
+    """beta as a float; raises unless it is finite and positive (a NaN is neither)."""
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    return float(beta)
+
+
+def energy_list(energies) -> np.ndarray:
+    """energies as a float array; raises unless it is nonempty and every entry finite."""
     e = np.asarray(energies, dtype=float)
     if e.size == 0:
-        raise ValueError("empty energy list")
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
-    if not np.all(np.isfinite(e)):
+        raise ValueError("energies must not be empty")
+    if not np.isfinite(e).all():
         raise ValueError("energies must be finite")
-    w = np.exp(-beta * (e - e.min()))
+    return e
+
+
+def boltzmann_weights(energies, beta: float) -> np.ndarray:
+    """exp(-beta E_k) / Z, stabilized by subtracting the minimum energy."""
+    e = energy_list(energies)
+    w = np.exp(-inverse_temperature(beta) * (e - e.min()))
     return w / w.sum()
 
 
@@ -171,7 +177,6 @@ def reduced_density_spectrum(state, basis: OccupationBasis, region_a) -> Probabi
     if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails too
         raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
     sv = np.linalg.svd(m, compute_uv=False)
-    p = np.zeros(m.shape[0])
-    p[: sv.size] = sv**2
+    p = np.pad(sv**2, (0, m.shape[0] - sv.size))
     p /= p.sum()
     return ProbabilitySpectrum(p)

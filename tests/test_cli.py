@@ -570,6 +570,10 @@ _OVERFLOW_CASES = {
     "chain-entanglement-attractive": (["sweep", "--model", "chain", "--n-sites", "4",
                                        "--quantity", "entanglement", "--v-min=-1e308",
                                        "--v-max=-1e308"], {}),
+    # a kernel beyond the float range: no sector bound can be formed, so none is skipped
+    "chain-kernel-entanglement": (["sweep", "--quantity", "entanglement"], {"model": {
+        "type": "chain", "n_sites": 3, "potential": 1e308,
+        "hopping": [[-1e308, 1, 0], [1, 0, 1], [0, 1, 0]]}}),
 }
 
 

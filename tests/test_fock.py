@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,16 @@ def test_build_basis_unconstrained_count():
         assert build_basis(n).dim == 2**n
 
 
-@pytest.mark.parametrize("n_modes", [0, -1, 21])
+@pytest.mark.parametrize("n_modes", [0, -1, 21, True, 2.5])
 def test_build_basis_rejects_bad_mode_count(n_modes):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_modes must be"):
         build_basis(n_modes)
+
+
+def test_build_basis_rejects_non_integer_particle_number():
+    # True would otherwise select the one-particle sector
+    with pytest.raises(ValueError, match="^n_particles must be an integer"):
+        build_basis(3, True)
 
 
 def test_build_basis_rejects_empty_sector():
@@ -257,6 +265,20 @@ def test_one_block_operator_holds_its_matrix_as_the_block():
     assert not block.flags.writeable and not idx.flags.writeable
 
 
+def test_operator_validation_holds_one_matrix_sized_temporary():
+    # a one-sector operator's block is its matrix; the Hermiticity test adds one d x d array
+    m = np.random.default_rng(15).standard_normal((252, 252))
+    m = m + m.T
+    basis = build_basis(10, 5)
+    tracemalloc.start()
+    try:
+        ManyBodyOperator(basis, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m.nbytes
+
+
 def test_basis_rejects_duplicates_and_out_of_range():
     with pytest.raises(ValueError, match="unique"):
         OccupationBasis(2, (1, 1))
@@ -264,6 +286,8 @@ def test_basis_rejects_duplicates_and_out_of_range():
         OccupationBasis(2, (0, 4))
     with pytest.raises(ValueError, match="n_modes"):
         OccupationBasis(21, (0,))
+    with pytest.raises(ValueError, match="^n_modes must be an integer"):
+        OccupationBasis(2.0, [0, 1])
 
 
 def test_popcount_counts_set_bits_as_int64():

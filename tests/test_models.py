@@ -133,6 +133,14 @@ def test_chain_parameter_validation():
     assert ChainParams(n_sites=14).n_sites == 14
     with pytest.raises(ValueError, match="n_sites"):
         ChainParams(n_sites=15)
+    for n_sites in (True, 3.0):
+        with pytest.raises(ValueError, match="^n_sites must be an integer"):
+            ChainParams(n_sites)
+    # a scalar bond strength faces the same matrix rule as a full matrix
+    with pytest.raises(ValueError, match="^hopping matrix is not Hermitian"):
+        ChainParams(n_sites=3, hopping=np.inf).hopping_matrix()
+    with pytest.raises(ValueError, match="^interaction matrix is not Hermitian"):
+        ChainParams(n_sites=3, interaction=np.nan).interaction_matrix()
     with pytest.raises(ValueError, match="symmetric"):
         ChainParams(n_sites=2, hopping=[[0.0, 1.0], [0.5, 0.0]]).hopping_matrix()
     with pytest.raises(ValueError, match="potential length"):

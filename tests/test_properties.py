@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from intdist.fock import ManyBodyOperator, OccupationBasis, build_basis, build_quadratic, popcount
+from intdist.fock import (ManyBodyOperator, OccupationBasis, build_basis, build_quadratic,
+                          density_density_diagonal, popcount, symmetric_matrix)
+from intdist.free_fermion import diagonalize_kernel
 from intdist.models import ChainParams, spinless_chain
 from intdist.spectra import _bipartition_tables, exact_diagonalize
 from test_fock import hopping_element
@@ -65,6 +67,17 @@ def kernels(draw, max_modes=8):
 
 
 @st.composite
+def non_finite_matrices(draw, max_modes=6):
+    """A symmetric matrix with one entry, mirrored or not, set to NaN, inf or -inf."""
+    h = draw(kernels(max_modes))
+    i, j = draw(st.integers(0, h.shape[0] - 1)), draw(st.integers(0, h.shape[0] - 1))
+    h[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if draw(st.booleans()):
+        h[j, i] = h[i, j]
+    return h
+
+
+@st.composite
 def bases(draw, n_modes, fixed_number):
     """Full or fixed-particle-number basis over n_modes, optionally shuffled."""
     n_particles = draw(st.integers(0, n_modes)) if fixed_number else None
@@ -78,6 +91,23 @@ def test_build_quadratic_matches_scalar_reference(data, h, fixed_number):
     basis = data.draw(bases(h.shape[0], fixed_number))
     op = build_quadratic(basis, h)
     np.testing.assert_array_equal(op.matrix, _scalar_quadratic(basis, h))
+
+
+@PROPERTY
+@given(non_finite_matrices())
+def test_non_finite_matrix_is_rejected_by_name(h):
+    n = h.shape[0]
+    basis = build_basis(n)
+    for name, call in (
+        ("kernel", lambda: symmetric_matrix(h, n, "kernel")),
+        ("kernel", lambda: diagonalize_kernel(h)),
+        ("kernel", lambda: build_quadratic(basis, h)),
+        ("coupling matrix", lambda: density_density_diagonal(basis, h)),
+        ("hopping matrix", lambda: spinless_chain(ChainParams(n, hopping=h))),
+        ("interaction matrix", lambda: spinless_chain(ChainParams(n, interaction=h))),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} is not Hermitian"):
+            call()
 
 
 @PROPERTY
