@@ -18,6 +18,7 @@ import re
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -25,14 +26,15 @@ import numpy as np
 
 from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
-from .fock import build_basis, density_density_diagonal
+from .fock import build_basis, density_density_diagonal, integer, real
 from .free_fermion import diagonalize_kernel
 from .models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_interaction_matrix,
                      dimer_kernel, hubbard_dimer, spinless_chain)
 from .perturbation import (DEGENERACY_TOL, degenerate_groups, first_order_reduced_density,
                            infer_free_labeling, perturbative_dent, perturbative_dth,
                            perturbative_free_decomposition, resolve_degeneracies)
-from .spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
+from .spectra import (exact_diagonalize, inverse_temperature, reduced_density_spectrum,
+                      thermal_probabilities)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,34 +54,16 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """An int or float that converts to a finite float."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+@contextmanager
+def _named(prefix: str = ""):
+    """Re-raise a package rule's ValueError as a ConfigError, its message after prefix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 # ------------------------------------------------------------------- models
-
-def _check_dimer(params: dict):
-    for key, value in params.items():
-        _require(_is_number(value), f"model.{key} must be a number")
-
-
-def _check_chain(params: dict):
-    try:
-        chain = ChainParams(**params)
-    except ValueError as exc:  # the one field ChainParams checks: n_sites
-        raise ConfigError(f"model.{exc}") from exc
-    for key, build in (("hopping", chain.hopping_matrix), ("potential", chain.potential_vector)):
-        try:
-            finite = not isinstance(params[key], bool) and bool(np.isfinite(build()).all())
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"model.{key} is invalid: {exc}") from exc
-        _require(finite, f"model.{key} must be a finite number or array")
-
 
 @dataclass(frozen=True)
 class _Model:
@@ -89,7 +73,7 @@ class _Model:
     """
 
     fields: dict                # config fields with their defaults (None: required)
-    check: Callable             # params -> None; raises ConfigError
+    params: type                # the parameter class; constructing it checks the fields
     numbers: Callable            # params -> particle numbers of the model's sectors, ascending
     sector: Callable             # (params, v, n) -> Hamiltonian over the n-particle sector
     interaction: Callable        # params -> density-density coupling matrix at v = 1
@@ -102,7 +86,7 @@ class _Model:
 _MODELS = {
     "dimer": _Model(
         fields={"t": 1.0, "delta1": 1.0, "delta2": -1.0},
-        check=_check_dimer,
+        params=DimerParams,
         numbers=lambda params: (2,),
         sector=lambda params, v, n: hubbard_dimer(DimerParams(**params, v=v))[0],
         interaction=lambda params: dimer_interaction_matrix(1.0),
@@ -111,7 +95,7 @@ _MODELS = {
     ),
     "chain": _Model(
         fields={"n_sites": None, "hopping": 1.0, "potential": 0.0},
-        check=_check_chain,
+        params=ChainParams,
         numbers=lambda params: range(params["n_sites"] + 1),
         sector=lambda params, v, n: spinless_chain(ChainParams(**params, interaction=v), n),
         interaction=lambda params: ChainParams(**params, interaction=1.0).interaction_matrix(),
@@ -153,17 +137,12 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def _grid_values(spec, name: str) -> np.ndarray:
-    _require(isinstance(spec, dict), f"{name} must be an object with min/max/steps")
-    unknown = set(spec) - {"min", "max", "steps"}
-    _require(not unknown, f"{name} has unknown fields {sorted(unknown)}")
-    _require(set(spec) == {"min", "max", "steps"} and _is_int(spec["steps"]),
-             f"{name} requires numeric min/max and integer steps")
-    for key in ("min", "max"):
-        _require(_is_number(spec[key]), f"{name}.{key} must be a finite number")
-    lo, hi, steps = float(spec["min"]), float(spec["max"]), spec["steps"]
-    _require(steps >= 1, f"{name}.steps must be >= 1")
+    spec = _section(spec, name, dict.fromkeys(("min", "max", "steps")))
+    with _named():
+        lo, hi = real(f"{name}.min", spec["min"]), real(f"{name}.max", spec["max"])
+        steps = integer(f"{name}.steps", spec["steps"], 1)
     _require(lo <= hi, f"{name}.min must not exceed {name}.max")
-    _require(_is_number(hi - lo), f"{name}.min and {name}.max must differ by a finite number")
+    _require(math.isfinite(hi - lo), f"{name}.min and {name}.max must differ by a finite number")
     return np.linspace(lo, hi, steps)
 
 
@@ -186,7 +165,8 @@ def validate_config(raw: dict) -> dict:
     _require(model.get("type") in tuple(_MODELS), "model.type must be 'dimer' or 'chain'")
     spec = _MODELS[model["type"]]
     model = cfg["model"] = _section(model, "model", {"type": None, **spec.fields})
-    spec.check({key: model[key] for key in spec.fields})
+    with _named("model."):
+        spec.params(**{key: model[key] for key in spec.fields})
 
     quantity = cfg.get("quantity")
     _require(quantity in ("thermal", "entanglement"),
@@ -198,32 +178,27 @@ def validate_config(raw: dict) -> dict:
     has_tgrid = "temperature_grid" in cfg
     if quantity == "entanglement":
         _require(not has_tgrid, "temperature_grid is not applicable to quantity=entanglement")
-        beta = cfg.get("beta", 1.0)
-        _require(_is_number(beta) and beta == 1.0,
-                 "beta must be 1 (or omitted) for quantity=entanglement")
+        with _named():
+            beta = real("beta", cfg.get("beta", 1.0))
+        _require(beta == 1, "beta must be 1 (or omitted) for quantity=entanglement")
         cfg["beta"] = 1.0
         # a one-site chain has no bipartition
         _require(model.get("n_sites", 2) >= 2,
                  "model.n_sites must be >= 2 for quantity=entanglement")
     elif has_tgrid:
-        grid = _grid_values(cfg["temperature_grid"], "temperature_grid")
-        _require(grid.min() > 0 and _is_number(1.0 / float(grid.min())),
+        t_min = float(_grid_values(cfg["temperature_grid"], "temperature_grid")[0])
+        _require(t_min > 0 and math.isfinite(1.0 / t_min),
                  "temperature_grid.min must be positive with a finite reciprocal")
-        _require("beta" not in cfg or cfg["beta"] is None,
-                 "beta and temperature_grid are mutually exclusive")
-        cfg.pop("beta", None)
+        _require(cfg.pop("beta", None) is None, "beta and temperature_grid are mutually exclusive")
     else:
-        beta = cfg.get("beta", 1.0)
-        _require(_is_number(beta) and beta > 0 and _is_number(1.0 / beta),
-                 "beta must be a positive finite number with a finite reciprocal")
-        cfg["beta"] = float(beta)
+        with _named():
+            beta = cfg["beta"] = inverse_temperature(cfg.get("beta", 1.0))
+        _require(math.isfinite(1.0 / beta), "beta must have a finite reciprocal")
 
     opt = cfg["optimizer"] = _section(cfg.get("optimizer", {}), "optimizer",
                                       _DEFAULT_CONFIG["optimizer"])
-    try:
+    with _named("optimizer."):
         OptimizerOptions(**opt)
-    except ValueError as exc:
-        raise ConfigError(f"optimizer.{exc}") from exc
 
     out = cfg["output"] = _section(cfg.get("output", {}), "output", _DEFAULT_CONFIG["output"])
     _require(out["path"] is None or isinstance(out["path"], str),
@@ -414,15 +389,13 @@ def _worker_count() -> int:
 # -------------------------------------------------------------------- output
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, list):
         return ";".join(_fmt(e) for e in value)
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
-    return str(value)
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, sort_keys=True)  # a bool as true/false, an object sorted
 
 
 def render_csv(cfg: dict, rows: list) -> str:

@@ -14,6 +14,7 @@ different counts, else a single block holding the whole basis.  Exact
 diagonalization works block by block.
 """
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,6 +44,23 @@ def integer(name: str, value, lowest: int, highest: float = np.inf) -> int:
         bound = f"in [{lowest}, {highest}]" if highest < np.inf else f">= {lowest}"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def real(name: str, value) -> float:
+    """value as a float: a Python or numpy real number (not bool) within the float range."""
+    x = value.item() if isinstance(value, np.generic) else value  # a float32 bound overflows
+    if (isinstance(x, bool) or not isinstance(x, (int, float, np.floating))
+            or not -sys.float_info.max <= x <= sys.float_info.max):  # exact for any int
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(x)
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """value as a float array; where numpy cannot convert it, raises under ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must hold real numbers: {exc}") from None
 
 
 class OccupationBasis:
@@ -138,11 +156,12 @@ def build_basis(n_modes: int, n_particles: Optional[int] = None) -> OccupationBa
 
 def symmetric_matrix(value, n: int, what: str, size_name: str = "n_modes") -> np.ndarray:
     """``value`` as a real ``n x n`` array, finite and symmetric within HERMITICITY_TOL; raises
-    otherwise.  The package's one Hermiticity test, with one ``n x n`` temporary."""
-    m = np.asarray(value, dtype=float)
+    otherwise, without a warning.  The package's one Hermiticity test, with one temporary."""
+    m = real_array(what, value)
     if m.shape != (n, n):
         raise ValueError(f"{what} shape {m.shape} does not match {size_name}={n}")
-    asymmetry = np.subtract(m, m.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.subtract(m, m.T)
     if not np.abs(asymmetry, out=asymmetry).max(initial=0.0) <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian: not finite and symmetric within "
                          f"{HERMITICITY_TOL:g}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import MAX_MODES, readonly, symmetric_matrix
-from .spectra import ProbabilitySpectrum, thermal_probabilities
+from .fock import MAX_MODES, readonly, real, real_array, symmetric_matrix
+from .spectra import ProbabilitySpectrum, energy_list, thermal_probabilities
 
 #: Relative tolerance (times max(1, top level)) for matching subset sums to levels.
 GREEDY_MATCH_TOL = 1e-9
@@ -27,9 +27,10 @@ class FreeSpectrumParams:
     epsilons: np.ndarray
 
     def __post_init__(self):
-        eps = np.sort(np.asarray(self.epsilons, dtype=float).ravel())
-        if not np.all(np.isfinite(eps)) or not np.isfinite(self.e0):
-            raise ValueError("free-spectrum parameters must be finite")
+        eps = np.sort(real_array("epsilons", self.epsilons).ravel())
+        if not np.isfinite(eps).all():
+            raise ValueError("epsilons must be finite")
+        object.__setattr__(self, "e0", real("e0", self.e0))
         object.__setattr__(self, "epsilons", readonly(eps, float))
 
     @property
@@ -39,7 +40,7 @@ class FreeSpectrumParams:
 
 def diagonalize_kernel(kernel) -> np.ndarray:
     """Single-particle energies of a real symmetric kernel, ascending."""
-    h = np.asarray(kernel, dtype=float)
+    h = real_array("kernel", kernel)
     return np.linalg.eigvalsh(symmetric_matrix(h, h.shape[0] if h.ndim else 0, "kernel", "rows"))
 
 
@@ -106,7 +107,7 @@ def _greedy_match(levels, n_modes: int, rtol: float):
 
 
 def greedy_single_particle_gaps(levels, n_modes: int, filler: float) -> np.ndarray:
-    """Greedy decomposition of a level list into n_modes single-particle gaps.
+    """Greedy decomposition of a list of finite levels into n_modes single-particle gaps.
 
     The lowest level is taken as the reference; repeatedly, each ascending sum
     of the gaps found so far claims the lowest unclaimed level within
@@ -115,10 +116,7 @@ def greedy_single_particle_gaps(levels, n_modes: int, filler: float) -> np.ndarr
     otherwise.  Modes the level list cannot resolve are assigned ``filler``,
     which the caller picks high enough that they carry negligible weight.
     """
-    lv = np.sort(np.asarray(levels, dtype=float).ravel())
-    lv = lv[np.isfinite(lv)]
-    if lv.size == 0:
-        raise ValueError("no finite levels to decompose")
+    lv = np.sort(energy_list(levels).ravel())
     lv = lv - lv[0]
     gaps, _, _ = _greedy_match(lv, n_modes, GREEDY_MATCH_TOL)
     return np.array(gaps + [filler] * (n_modes - len(gaps)))

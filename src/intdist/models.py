@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (ManyBodyOperator, OccupationBasis, build_basis, build_quadratic,
-                   density_density_diagonal, integer, symmetric_matrix)
+                   density_density_diagonal, integer, real, real_array, symmetric_matrix)
 from .spectra import MAX_DIM
 
 #: Longest chain the CLI and ChainParams accept: the largest whose Fock space
@@ -26,12 +26,16 @@ DIMER_SITE1_MODES = (0, 1)
 
 @dataclass(frozen=True)
 class DimerParams:
-    """Couplings of the two-site Hubbard model (defaults: t=1, staggered +-1)."""
+    """Finite couplings of the two-site Hubbard model (defaults: t=1, staggered +-1)."""
 
     t: float = 1.0
     delta1: float = 1.0
     delta2: float = -1.0
     v: float = 0.0
+
+    def __post_init__(self):
+        for name in ("t", "delta1", "delta2", "v"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
 
 
 _DIMER_SECTOR_BASIS = OccupationBasis(4, (0b1100, 0b1001, 0b0110, 0b0011))
@@ -86,6 +90,7 @@ class ChainParams:
     strength) or a full symmetric matrix; potential accepts a scalar or a
     per-site vector.  The one-body kernel is diag(potential) minus the
     hopping matrix, so a positive scalar hopping is the usual -t bond term.
+    Every field is checked on construction: a bad one raises under its own name.
     """
 
     n_sites: int
@@ -95,13 +100,15 @@ class ChainParams:
 
     def __post_init__(self):
         integer("n_sites", self.n_sites, 1, MAX_CHAIN_SITES)
+        for build in (self.hopping_matrix, self.potential_vector, self.interaction_matrix):
+            build()
 
     def _bond_matrix(self, value, name: str) -> np.ndarray:
         n = self.n_sites
         if np.isscalar(value):
             m = np.zeros((n, n))
             i = np.arange(n - 1)
-            m[i, i + 1] = m[i + 1, i] = float(value)
+            m[i, i + 1] = m[i + 1, i] = real(name, value)
             value = m
         return symmetric_matrix(value, n, f"{name} matrix", "n_sites")
 
@@ -113,10 +120,12 @@ class ChainParams:
 
     def potential_vector(self) -> np.ndarray:
         if np.isscalar(self.potential):
-            return np.full(self.n_sites, float(self.potential))
-        mu = np.asarray(self.potential, dtype=float)
+            return np.full(self.n_sites, real("potential", self.potential))
+        mu = real_array("potential", self.potential)
         if mu.shape != (self.n_sites,):
             raise ValueError(f"potential length {mu.shape} does not match n_sites={self.n_sites}")
+        if not np.isfinite(mu).all():
+            raise ValueError(f"potential must be finite, got {mu}")
         return mu
 
     def kernel(self) -> np.ndarray:

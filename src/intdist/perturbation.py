@@ -150,7 +150,7 @@ def perturbative_free_decomposition(levels, pattern) -> PerturbativeDecompositio
     measured from the perturbed vacuum; every remaining state's deviation
     from the subset sum is its residual interaction energy.
     """
-    levels = np.asarray(levels, dtype=float)
+    levels = energy_list(levels)
     pattern = np.asarray(pattern, dtype=np.int64)
     if pattern.shape != levels.shape:
         raise ValueError("pattern and spectrum sizes differ")

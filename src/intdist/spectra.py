@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import ManyBodyOperator, OccupationBasis, popcount, readonly
+from .fock import ManyBodyOperator, OccupationBasis, popcount, readonly, real
 
 MAX_DIM = 1 << 14
 #: Probabilities below this are clamped to 0; anything below its negative is an error.
@@ -92,9 +92,9 @@ def exact_diagonalize(op: ManyBodyOperator, keep_vectors: bool = True) -> EigenS
 
 
 def inverse_temperature(beta) -> float:
-    """beta as a float; raises unless it is finite and positive (a NaN is neither)."""
-    if not 0 < beta < np.inf:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
+    """beta as a float; raises unless it is a positive number that passes ``fock.real``."""
+    if not real("beta", beta) > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     return float(beta)
 
 

@@ -497,21 +497,23 @@ _CONFIG_FILE_ERRORS = [
     ({"temperature_grid": {"min": "0.5", "max": 1, "steps": 2}}, "temperature_grid.min"),
     ({"coupling_grid": {"min": 0, "max": 10**400, "steps": 2}},
      "config error: coupling_grid.max"),
-    ({"model": {"type": "dimer", "t": 10**400}}, "model.t must be a number"),
-    ({"model": {"type": "chain", "n_sites": 3, "potential": 10**400}}, "model.potential is invalid"),
+    ({"model": {"type": "dimer", "t": 10**400}}, "model.t must be a finite number"),
+    ({"model": {"type": "chain", "n_sites": 3, "potential": 10**400}},
+     "model.potential must be a finite number"),
+    ({"model": {"type": "dimer", "delta2": float("nan")}}, "model.delta2"),
     ({"quantity": "entanglement", "beta": True}, "beta"),
     # fractional steps: the whole message, since the field alone repeats an id above
     ({"coupling_grid": {"min": 0, "max": 1, "steps": 2.7}},
-     "coupling_grid requires numeric min/max and integer steps"),
+     "coupling_grid.steps must be an integer"),
     ({"temperature_grid": {"min": 0.5, "max": 1, "steps": 2.7}},
-     "temperature_grid requires numeric min/max and integer steps"),
+     "temperature_grid.steps must be an integer"),
     # values whose difference or reciprocal overflows the float range
     ({"coupling_grid": {"min": -1e308, "max": 1e308, "steps": 3}},
      "coupling_grid.min and coupling_grid.max must differ by a finite number"),
     ({"temperature_grid": {"min": 1e-320, "max": 1, "steps": 2}},
      "temperature_grid.min must be positive with a finite reciprocal"),
     ({"beta": 1e-320, "output": {"format": "jsonl"}},
-     "beta must be a positive finite number with a finite reciprocal"),
+     "beta must have a finite reciprocal"),
     ({"output": 3}, "output"),
     ({"output": {"path": 5}}, "output.path"),
 ]

@@ -1,10 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from intdist.fock import (ManyBodyOperator, OccupationBasis, build_basis, build_density_density,
-                          build_quadratic, popcount)
+                          build_quadratic, popcount, real, real_array)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -80,6 +81,28 @@ def test_build_basis_unconstrained_count():
 def test_build_basis_rejects_bad_mode_count(n_modes):
     with pytest.raises(ValueError, match="^n_modes must be"):
         build_basis(n_modes)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, np.bool_(False), "1", None,
+                                   1j, 10**400, -10**400, np.longdouble("1e400")], ids=repr)
+def test_real_rejects_what_is_not_a_finite_number(value):
+    # 10**400 is compared exactly, not converted: the message still names the field
+    with pytest.raises(ValueError, match="^x must be a finite number, got"):
+        real("x", value)
+
+
+@pytest.mark.parametrize("value", [0, -3, 10**308, 1e308, -sys.float_info.max, 5e-324,
+                                   np.int64(-2**63), np.uint64(2**64 - 1), np.float32(0.5)],
+                         ids=repr)
+def test_real_returns_a_python_float(value):
+    out = real("x", value)
+    assert type(out) is float and out == float(value)
+
+
+def test_real_array_names_what_numpy_cannot_convert():
+    for value in ([1.0, "a"], [[1.0], [1.0, 2.0]], {"a": 1}, [10**400]):
+        with pytest.raises(ValueError, match="^kernel must hold real numbers: "):
+            real_array("kernel", value)
 
 
 def test_build_basis_rejects_non_integer_particle_number():

@@ -193,6 +193,22 @@ def test_greedy_gap_decomposition_fills_unresolved_modes():
     assert (got[1:] == 99.0).all()
 
 
+def test_greedy_gap_decomposition_rejects_non_finite_levels():
+    # no level is dropped in silence: the list faces spectra.energy_list
+    with pytest.raises(ValueError, match="energies must be finite"):
+        greedy_single_particle_gaps([0.0, np.inf], 1, filler=1.0)
+
+
+def test_free_spectrum_params_reject_non_finite_fields():
+    with pytest.raises(ValueError, match="^e0 must be a finite number"):
+        FreeSpectrumParams(True, [1.0])
+    with pytest.raises(ValueError, match="^e0 must be a finite number"):
+        FreeSpectrumParams(np.nan, [1.0])
+    with pytest.raises(ValueError, match="^epsilons must be finite"):
+        FreeSpectrumParams(0.0, [1.0, -np.inf])
+    assert type(FreeSpectrumParams(np.float32(2), []).e0) is float
+
+
 def _list_scan_match(levels, n_modes, rtol):
     """Reference matcher: every (sum, pattern) pair scans a Python list of the levels.
 

@@ -136,14 +136,41 @@ def test_chain_parameter_validation():
     for n_sites in (True, 3.0):
         with pytest.raises(ValueError, match="^n_sites must be an integer"):
             ChainParams(n_sites)
-    # a scalar bond strength faces the same matrix rule as a full matrix
-    with pytest.raises(ValueError, match="^hopping matrix is not Hermitian"):
-        ChainParams(n_sites=3, hopping=np.inf).hopping_matrix()
-    with pytest.raises(ValueError, match="^interaction matrix is not Hermitian"):
-        ChainParams(n_sites=3, interaction=np.nan).interaction_matrix()
+    # a scalar bond strength must be a finite number, and the check runs on construction
+    with pytest.raises(ValueError, match="^hopping must be a finite number"):
+        ChainParams(n_sites=3, hopping=np.inf)
+    with pytest.raises(ValueError, match="^interaction must be a finite number"):
+        ChainParams(n_sites=3, interaction=np.nan)
     with pytest.raises(ValueError, match="symmetric"):
         ChainParams(n_sites=2, hopping=[[0.0, 1.0], [0.5, 0.0]]).hopping_matrix()
     with pytest.raises(ValueError, match="potential length"):
         ChainParams(n_sites=2, potential=[1.0, 2.0, 3.0]).potential_vector()
     with pytest.raises(ValueError, match="shape"):
         ChainParams(n_sites=2, hopping=np.ones((3, 3))).hopping_matrix()
+
+
+_SCALAR_FIELDS = [(DimerParams, {}, name) for name in ("t", "delta1", "delta2", "v")] + [
+    (ChainParams, {"n_sites": 3}, name) for name in ("hopping", "potential", "interaction")]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "x"], ids=repr)
+@pytest.mark.parametrize("cls, given, field", _SCALAR_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, _, field in _SCALAR_FIELDS])
+def test_parameter_classes_reject_a_bad_scalar_under_its_name(cls, given, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        cls(**given, **{field: bad})
+
+
+def test_chain_rejects_a_non_finite_potential_vector():
+    with pytest.raises(ValueError, match="^potential must be finite"):
+        ChainParams(3, potential=[0.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="^potential must hold real numbers"):
+        ChainParams(3, potential=[0.0, "x", 0.0])
+    with pytest.raises(ValueError, match="^hopping matrix must hold real numbers"):
+        ChainParams(2, hopping=[[0.0, 1.0], [1.0, None, 0.0]])
+
+
+def test_dimer_params_store_floats():
+    params = DimerParams(t=2, delta1=np.float32(0.5), delta2=np.int64(-1), v=3)
+    assert [type(x) for x in (params.t, params.delta1, params.delta2, params.v)] == [float] * 4
+    assert params == DimerParams(2.0, 0.5, -1.0, 3.0)

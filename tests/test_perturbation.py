@@ -378,3 +378,5 @@ def test_decomposition_validation():
         perturbative_free_decomposition(eig.energies, np.array([1, 1, 2, 3]))
     with pytest.raises(ValueError, match="sizes differ"):
         perturbative_free_decomposition(eig.energies, np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="energies must be finite"):
+        perturbative_free_decomposition([0.0, 1.0, np.nan, 3.0], np.arange(4))

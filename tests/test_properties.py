@@ -5,6 +5,8 @@ basis state by state (``hopping_element`` for the hopping signs), and
 ``exact_diagonalize`` against one dense ``eigvalsh`` of the whole matrix.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,9 +70,14 @@ def kernels(draw, max_modes=8):
 
 @st.composite
 def non_finite_matrices(draw, max_modes=6):
-    """A symmetric matrix with one entry, mirrored or not, set to NaN, inf or -inf."""
+    """A symmetric matrix with one entry, mirrored or not, set to NaN, inf or -inf; or, off
+    the diagonal, a finite pair h_ij = -h_ji so large that h_ij - h_ji overflows."""
     h = draw(kernels(max_modes))
     i, j = draw(st.integers(0, h.shape[0] - 1)), draw(st.integers(0, h.shape[0] - 1))
+    if i != j and draw(st.booleans()):
+        huge = st.floats(1e308, sys.float_info.max)
+        h[i, j], h[j, i] = draw(huge), -draw(huge)
+        return h
     h[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     if draw(st.booleans()):
         h[j, i] = h[i, j]
@@ -95,6 +102,7 @@ def test_build_quadratic_matches_scalar_reference(data, h, fixed_number):
 
 @PROPERTY
 @given(non_finite_matrices())
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # one bad matrix, one error, no warning
 def test_non_finite_matrix_is_rejected_by_name(h):
     n = h.shape[0]
     basis = build_basis(n)
