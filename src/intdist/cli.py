@@ -19,8 +19,7 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from . import __version__
 from .distance import OptimizerOptions, df_upper_bound, interaction_distance
 from .fock import build_basis, density_density_diagonal, integer, real
 from .free_fermion import diagonalize_kernel
-from .models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_interaction_matrix,
-                     dimer_kernel, hubbard_dimer, spinless_chain)
+from .models import ChainParams, DimerParams
 from .perturbation import (DEGENERACY_TOL, degenerate_groups, first_order_reduced_density,
                            infer_free_labeling, perturbative_dent, perturbative_dth,
                            perturbative_free_decomposition, resolve_degeneracies)
@@ -65,56 +63,25 @@ def _named(prefix: str = ""):
 
 # ------------------------------------------------------------------- models
 
-@dataclass(frozen=True)
-class _Model:
-    """What the CLI needs to know about one ``model.type``.
-
-    The callables take the model's parameters: its config section without ``type``.
-    """
-
-    fields: dict                # config fields with their defaults (None: required)
-    params: type                # the parameter class; constructing it checks the fields
-    numbers: Callable            # params -> particle numbers of the model's sectors, ascending
-    sector: Callable             # (params, v, n) -> Hamiltonian over the n-particle sector
-    interaction: Callable        # params -> density-density coupling matrix at v = 1
-    region: Callable             # params -> modes on one side of the entanglement cut
-    kernel: Callable             # params -> one-body kernel
+#: Each parameter class is its model: see ``intdist.models`` for what a model answers.
+_MODELS = {"dimer": DimerParams, "chain": ChainParams}
 
 
-# The builders look the model functions up at call time, so wrappers installed
-# on this module's names (as the perfbench tracer does) see every call.
-_MODELS = {
-    "dimer": _Model(
-        fields={"t": 1.0, "delta1": 1.0, "delta2": -1.0},
-        params=DimerParams,
-        numbers=lambda params: (2,),
-        sector=lambda params, v, n: hubbard_dimer(DimerParams(**params, v=v))[0],
-        interaction=lambda params: dimer_interaction_matrix(1.0),
-        region=lambda params: DIMER_SITE1_MODES,
-        kernel=lambda params: dimer_kernel(DimerParams(**params)),
-    ),
-    "chain": _Model(
-        fields={"n_sites": None, "hopping": 1.0, "potential": 0.0},
-        params=ChainParams,
-        numbers=lambda params: range(params["n_sites"] + 1),
-        sector=lambda params, v, n: spinless_chain(ChainParams(**params, interaction=v), n),
-        interaction=lambda params: ChainParams(**params, interaction=1.0).interaction_matrix(),
-        region=lambda params: tuple(range(max(1, params["n_sites"] // 2))),
-        kernel=lambda params: ChainParams(**params).kernel(),
-    ),
-}
+def _model_fields(cfg: dict) -> dict:
+    """The configured model's fields as the config gives them, without ``type``."""
+    return {key: value for key, value in cfg["model"].items() if key != "type"}
 
 
-def _configured_model(cfg: dict):
-    """The table entry of the configured model, and the model's parameters."""
-    params = dict(cfg["model"])
-    return _MODELS[params.pop("type")], params
+def _model(cfg: dict, v: float):
+    """The configured model at coupling v."""
+    model = _MODELS[cfg["model"]["type"]]
+    return model(**_model_fields(cfg), **{model.coupling: v})
 
 
 # ------------------------------------------------------------------- config
 
 _DEFAULT_CONFIG = {
-    "model": {"type": "dimer", **_MODELS["dimer"].fields},
+    "model": {"type": "dimer"},  # validate_config adds the model's field defaults
     "quantity": "thermal",
     "coupling_grid": {"min": 0.0, "max": 6.0, "steps": 61},
     "optimizer": asdict(OptimizerOptions()),
@@ -162,11 +129,14 @@ def validate_config(raw: dict) -> dict:
 
     model = cfg.get("model", {})
     _require(isinstance(model, dict), "model must be an object")
-    _require(model.get("type") in tuple(_MODELS), "model.type must be 'dimer' or 'chain'")
-    spec = _MODELS[model["type"]]
-    model = cfg["model"] = _section(model, "model", {"type": None, **spec.fields})
+    _require(model.get("type") in tuple(_MODELS),
+             f"model.type must be {' or '.join(map(repr, _MODELS))}")
+    model_class = _MODELS[model["type"]]  # its config fields: all its fields but the coupling
+    defaults = {f.name: None if f.default is MISSING else f.default
+                for f in fields(model_class) if f.name != model_class.coupling}
+    model = cfg["model"] = _section(model, "model", {"type": None, **defaults})
     with _named("model."):
-        spec.params(**{key: model[key] for key in spec.fields})
+        params = model_class(**{key: model[key] for key in defaults})
 
     quantity = cfg.get("quantity")
     _require(quantity in ("thermal", "entanglement"),
@@ -182,9 +152,8 @@ def validate_config(raw: dict) -> dict:
             beta = real("beta", cfg.get("beta", 1.0))
         _require(beta == 1, "beta must be 1 (or omitted) for quantity=entanglement")
         cfg["beta"] = 1.0
-        # a one-site chain has no bipartition
-        _require(model.get("n_sites", 2) >= 2,
-                 "model.n_sites must be >= 2 for quantity=entanglement")
+        with _named("model."):
+            params.cut()
     elif has_tgrid:
         t_min = float(_grid_values(cfg["temperature_grid"], "temperature_grid")[0])
         _require(t_min > 0 and math.isfinite(1.0 / t_min),
@@ -209,26 +178,27 @@ def validate_config(raw: dict) -> dict:
 
 # ----------------------------------------------------------------- grid rows
 
-def _solve_sector(spec: _Model, params: dict, v: float, n: int, keep_vectors: bool = False):
-    """The n-particle sector's Hamiltonian at coupling v and its eigensystem.
+def _solve_sector(model, n: int, keep_vectors: bool = False):
+    """The model's n-particle sector Hamiltonian and its eigensystem.
 
-    A validated config fails here only by overflow: an inf or nan entry fails
-    the Hermiticity check, or a finite matrix has levels beyond the float range.
+    A valid model fails here only by overflow: an inf or nan entry fails the Hermiticity
+    check, or a finite matrix has levels beyond the float range.  That raises a
+    FloatingPointError, whose message ``_grid_command`` completes with the model fields.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            op = spec.sector(params, v, n)
+            op = model.sector(n)
             eig = exact_diagonalize(op, keep_vectors)
     except ValueError:
         eig = None
     if eig is None or not np.isfinite(eig.energies).all():
-        raise ConfigError(f"model fields {json.dumps(params, sort_keys=True)} at coupling "
-                          f"v={v:.12g} give a Hamiltonian beyond the float range")
+        raise FloatingPointError(f"at coupling v={getattr(model, model.coupling):.12g} "
+                                 "give a Hamiltonian beyond the float range")
     return op, eig
 
 
-def _sector_bounds(spec: _Model, params: dict, v: float):
-    """Lower bounds on each sector's lowest level at coupling v, and their rounding margin.
+def _sector_bounds(model):
+    """Lower bounds on each sector's lowest level, and their rounding margin.
 
     By Weyl's inequality the lowest level of the n-particle sector, or of the dimer's
     S_z = 0 block within it, is at least the sum of the n lowest single-particle
@@ -236,11 +206,11 @@ def _sector_bounds(spec: _Model, params: dict, v: float):
     a diagonal or the mode count times a norm bound of the sector Hamiltonians is not
     finite, every bound is -inf: every sector is solved, so an overflowing one raises.
     """
-    numbers = spec.numbers(params)
+    numbers = model.particle_numbers()
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            eps = diagonalize_kernel(spec.kernel(params))
-            coupling = v * spec.interaction(params)
+            eps = diagonalize_kernel(model.kernel())
+            coupling = model.interaction_matrix()
             diags = [density_density_diagonal(build_basis(eps.size, n), coupling) for n in numbers]
             scale = eps.size * (np.abs(eps).sum() + np.max([np.abs(d).max() for d in diags]))
         except ValueError:  # symmetric_matrix rejects a kernel that is not finite
@@ -251,8 +221,8 @@ def _sector_bounds(spec: _Model, params: dict, v: float):
     return bounds, SECTOR_BOUND_TOL * max(1.0, scale)
 
 
-def _ground_state(spec: _Model, params: dict, v: float):
-    """The ground sector with vectors, and the two lowest levels E0 <= E1, at coupling v.
+def _ground_state(model):
+    """The model's ground sector with vectors, and its two lowest levels E0 <= E1.
 
     Sectors are solved without vectors in ascending order of their
     ``_sector_bounds``, up to the first whose bound exceeds max(E1, E0 +
@@ -260,17 +230,17 @@ def _ground_state(spec: _Model, params: dict, v: float):
     no later sector can hold either level.  The ground sector is the lowest
     particle number whose lowest level lies within DEGENERACY_TOL of E0.
     """
-    numbers = spec.numbers(params)
-    bounds, margin = _sector_bounds(spec, params, v)
+    numbers = model.particle_numbers()
+    bounds, margin = _sector_bounds(model)
     lowest, e0, e1 = {}, np.inf, np.inf
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] > max(e1, e0 + DEGENERACY_TOL) + margin:
             break
-        energies = _solve_sector(spec, params, v, numbers[k])[1].energies
+        energies = _solve_sector(model, numbers[k])[1].energies
         lowest[numbers[k]] = energies[0]
         e0, e1 = sorted([e0, e1, *energies[:2]])[:2]
     n = min(n for n, e in lowest.items() if e - e0 <= DEGENERACY_TOL)
-    return (*_solve_sector(spec, params, v, n, keep_vectors=True), e0, e1)
+    return (*_solve_sector(model, n, keep_vectors=True), e0, e1)
 
 
 def _spectrum_at(cfg: dict, v: float):
@@ -280,15 +250,15 @@ def _spectrum_at(cfg: dict, v: float):
     without vectors.  Entanglement: the spectrum of the ground state of
     ``_ground_state``, which skips the sectors that cannot hold the two lowest levels.
     """
-    spec, params = _configured_model(cfg)
+    model = _model(cfg, v)
     if cfg["quantity"] == "thermal":
-        return np.sort(np.concatenate([_solve_sector(spec, params, v, n)[1].energies
-                                       for n in spec.numbers(params)]))
-    ground, eig, e0, e1 = _ground_state(spec, params, v)
+        return np.sort(np.concatenate([_solve_sector(model, n)[1].energies
+                                       for n in model.particle_numbers()]))
+    ground, eig, e0, e1 = _ground_state(model)
     if e1 - e0 <= DEGENERACY_TOL:
         warnings.warn(f"degenerate ground state at v={v:g} (E1 - E0 = {e1 - e0:.3g}): the "
                       "entanglement spectrum is that of one of the ground states", stacklevel=2)
-    return reduced_density_spectrum(eig.vectors[:, 0], ground.basis, spec.region(params))
+    return reduced_density_spectrum(eig.vectors[:, 0], ground.basis, model.cut())
 
 
 def _rows(cfg: dict, context=None):
@@ -300,7 +270,6 @@ def _rows(cfg: dict, context=None):
     runs from the previous row's end: a coupling's first row carries its sectors' EDs.
     """
     options = OptimizerOptions(**cfg["optimizer"])
-    params = _configured_model(cfg)[1]
     if "temperature_grid" in cfg:
         temps = _grid_values(cfg["temperature_grid"], "temperature_grid")
         inner = [(1.0 / float(t), float(t)) for t in temps]
@@ -312,8 +281,8 @@ def _rows(cfg: dict, context=None):
         for beta, temperature in inner:
             rho = thermal_probabilities(shared, beta) if cfg["quantity"] == "thermal" else shared
             res = interaction_distance(rho, None, beta, options)
-            row = {"model": cfg["model"]["type"], "params": params, "quantity": cfg["quantity"],
-                   "v": v, "beta": beta, "temperature": temperature}
+            row = {"model": cfg["model"]["type"], "params": _model_fields(cfg),
+                   "quantity": cfg["quantity"], "v": v, "beta": beta, "temperature": temperature}
             if context is None:
                 row["d_f"] = res.value
             else:
@@ -334,13 +303,12 @@ def _perturbative_context(cfg: dict):
     ground state's reduced density spectrum.  Computed once per run, one sector
     at a time; each grid point only evaluates the closed form at its coupling.
     """
-    spec, params = _configured_model(cfg)
-    coupling = spec.interaction(params)
+    model, coupling = _model(cfg, 0.0), _model(cfg, 1.0).interaction_matrix()
     if cfg["quantity"] == "entanglement":
-        ground, eig = _ground_state(spec, params, 0.0)[:2]
+        ground, eig = _ground_state(model)[:2]
         return first_order_reduced_density(eig, density_density_diagonal(ground.basis, coupling),
-                                           ground.basis, spec.region(params))
-    splits = [_sector_split(spec, params, coupling, n) for n in spec.numbers(params)]
+                                           ground.basis, model.cut())
+    splits = [_sector_split(model, coupling, n) for n in model.particle_numbers()]
     energies = np.concatenate([e for e, _ in splits])
     order = np.argsort(energies, kind="stable")
     energies, slope = energies[order], np.concatenate([s for _, s in splits])[order]
@@ -351,9 +319,9 @@ def _perturbative_context(cfg: dict):
     return energies, slope, infer_free_labeling(energies)[1]
 
 
-def _sector_split(spec: _Model, params: dict, coupling, n: int):
-    """One sector's unperturbed energies and first-order slopes per unit coupling."""
-    op, eig = _solve_sector(spec, params, 0.0, n, keep_vectors=True)
+def _sector_split(model, coupling, n: int):
+    """One sector's energies and first-order slopes per unit coupling, of a model at v = 0."""
+    op, eig = _solve_sector(model, n, keep_vectors=True)
     return eig.energies, resolve_degeneracies(eig, density_density_diagonal(op.basis, coupling))[0]
 
 
@@ -497,7 +465,10 @@ def _load_config(args) -> dict:
 
 def _grid_command(args, runner) -> int:
     cfg = _load_config(args)
-    rows = runner(cfg)
+    try:
+        rows = runner(cfg)
+    except FloatingPointError as exc:  # named by the model fields as the config gives them
+        raise ConfigError(f"model fields {json.dumps(_model_fields(cfg), sort_keys=True)} {exc}")
     _emit(cfg, rows)
     bad = sum(1 for row in rows if not row["converged"])
     if args.strict and bad:

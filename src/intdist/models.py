@@ -5,6 +5,11 @@ on-site potentials, and an on-site interaction V; it conserves total spin
 projection, so the largest block (S_z = 0, four states) is built directly.
 The spinless chain is a generic open lattice with hopping, on-site
 potentials, and density-density interactions.
+
+Each parameter class is its model: it names the field a sweep sets
+(``coupling``) and gives its sectors' ``particle_numbers()``, one ``sector(n)``,
+the ``kernel()`` and ``interaction_matrix()`` at its own coupling, and the
+modes on one side of the entanglement ``cut()`` (site 1, or a chain's left half).
 """
 
 from dataclasses import dataclass
@@ -28,6 +33,8 @@ DIMER_SITE1_MODES = (0, 1)
 class DimerParams:
     """Finite couplings of the two-site Hubbard model (defaults: t=1, staggered +-1)."""
 
+    coupling = "v"  # not annotated: a class attribute, not a field
+
     t: float = 1.0
     delta1: float = 1.0
     delta2: float = -1.0
@@ -36,6 +43,33 @@ class DimerParams:
     def __post_init__(self):
         for name in ("t", "delta1", "delta2", "v"):
             object.__setattr__(self, name, real(name, getattr(self, name)))
+
+    def particle_numbers(self) -> tuple:
+        return (2,)
+
+    def sector(self, n: int) -> ManyBodyOperator:
+        """The S_z = 0 block of the n = 2 sector, the one block the dimer builds."""
+        return hubbard_dimer(self)[0]
+
+    def kernel(self) -> np.ndarray:
+        """One-body kernel over (site1 up, site1 down, site2 up, site2 down)."""
+        t, d1, d2 = self.t, self.delta1, self.delta2
+        return np.array([
+            [d1, 0.0, -t, 0.0],
+            [0.0, d1, 0.0, -t],
+            [-t, 0.0, d2, 0.0],
+            [0.0, -t, 0.0, d2],
+        ])
+
+    def interaction_matrix(self) -> np.ndarray:
+        """Density-density couplings putting weight v on each doubly occupied site."""
+        m = np.zeros((4, 4))
+        m[0, 1] = m[1, 0] = self.v / 2.0
+        m[2, 3] = m[3, 2] = self.v / 2.0
+        return m
+
+    def cut(self) -> tuple:
+        return DIMER_SITE1_MODES
 
 
 _DIMER_SECTOR_BASIS = OccupationBasis(4, (0b1100, 0b1001, 0b0110, 0b0011))
@@ -52,25 +86,6 @@ def dimer_sector_basis() -> OccupationBasis:
     return _DIMER_SECTOR_BASIS
 
 
-def dimer_kernel(params: DimerParams) -> np.ndarray:
-    """One-body kernel over (site1 up, site1 down, site2 up, site2 down)."""
-    t, d1, d2 = params.t, params.delta1, params.delta2
-    return np.array([
-        [d1, 0.0, -t, 0.0],
-        [0.0, d1, 0.0, -t],
-        [-t, 0.0, d2, 0.0],
-        [0.0, -t, 0.0, d2],
-    ])
-
-
-def dimer_interaction_matrix(v: float) -> np.ndarray:
-    """Density-density couplings putting weight v on each doubly occupied site."""
-    m = np.zeros((4, 4))
-    m[0, 1] = m[1, 0] = v / 2.0
-    m[2, 3] = m[3, 2] = v / 2.0
-    return m
-
-
 def hubbard_dimer(params: DimerParams = DimerParams()):
     """Dimer Hamiltonian in the S_z = 0 sector, plus its interaction part.
 
@@ -78,8 +93,8 @@ def hubbard_dimer(params: DimerParams = DimerParams()):
     interaction's diagonal (v, 0, 0, v), which perturbation theory takes.
     """
     basis = dimer_sector_basis()
-    v_diag = density_density_diagonal(basis, dimer_interaction_matrix(params.v))
-    return build_quadratic(basis, dimer_kernel(params), diagonal=v_diag), v_diag
+    v_diag = density_density_diagonal(basis, params.interaction_matrix())
+    return build_quadratic(basis, params.kernel(), diagonal=v_diag), v_diag
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,8 @@ class ChainParams:
     hopping matrix, so a positive scalar hopping is the usual -t bond term.
     Every field is checked on construction: a bad one raises under its own name.
     """
+
+    coupling = "interaction"
 
     n_sites: int
     hopping: object = 1.0
@@ -130,6 +147,17 @@ class ChainParams:
 
     def kernel(self) -> np.ndarray:
         return np.diag(self.potential_vector()) - self.hopping_matrix()
+
+    def particle_numbers(self) -> range:
+        return range(self.n_sites + 1)
+
+    def sector(self, n: int) -> ManyBodyOperator:
+        return spinless_chain(self, n)
+
+    def cut(self) -> tuple:
+        if self.n_sites < 2:
+            raise ValueError(f"n_sites must be >= 2 for an entanglement cut, got {self.n_sites}")
+        return tuple(range(self.n_sites // 2))
 
 
 def spinless_chain(params: ChainParams, n_particles: int | None = None) -> ManyBodyOperator:

@@ -113,29 +113,29 @@ def _state_and_correction(h0_eigen: EigenSystem, v_diag, k: int):
     return vectors[:, k], vectors[:, outside] @ (amps[outside] / gaps[outside])
 
 
-def infer_free_labeling(energies, tol: float = LABELING_TOL):
+def infer_free_labeling(energies):
     """Occupation labeling of a spectrum with free subset-sum structure.
 
     Returns (epsilons, pattern): the single-particle gaps above the lowest
     level and, for each spectrum entry in ascending order, the occupation
     bitstring reproducing it.  Raises if the spectrum is not consistent with
-    any free labeling within tol.  Ties are resolved deterministically:
+    any free labeling within LABELING_TOL.  Ties are resolved deterministically:
     equal-energy states take patterns in ascending bitstring order.
     """
     lv = energy_list(energies).ravel()
-    if np.any(np.diff(lv) < -tol):
+    if np.any(np.diff(lv) < -LABELING_TOL):
         raise ValueError("energies must be ascending")
     n_states = lv.size
     n_modes = n_states.bit_length() - 1
     if 1 << n_modes != n_states:
         raise ValueError(f"spectrum size {n_states} is not a power of two")
     shifted = lv - lv[0]
-    eps, sums, unmatched = _greedy_match(shifted, n_modes, tol)
+    eps, sums, unmatched = _greedy_match(shifted, n_modes, LABELING_TOL)
     if unmatched or len(eps) < n_modes:
         raise ValueError("spectrum admits no free labeling within tolerance")
     pattern = np.argsort(sums, kind="stable")
     dev = np.abs(sums[pattern] - shifted)
-    bad = np.flatnonzero(dev > match_tolerance(shifted, tol))
+    bad = np.flatnonzero(dev > match_tolerance(shifted, LABELING_TOL))
     if bad.size:
         raise ValueError(f"level {bad[0]} deviates from the free reconstruction by {dev[bad[0]]:.2e}")
     return np.array(eps), pattern

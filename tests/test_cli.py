@@ -14,9 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import intdist.cli
-from intdist.cli import (_FLAGS, _configured_model, _ground_state, _perturbative_context,
-                         _sector_bounds, _spectrum_at, main, render_csv, run_compare, run_sweep,
-                         validate_config)
+from intdist.cli import (_FLAGS, _ground_state, _perturbative_context, _sector_bounds,
+                         _spectrum_at, main, render_csv, run_compare, run_sweep, validate_config)
 from intdist.fock import density_density_diagonal, popcount
 from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_sector_basis,
                             hubbard_dimer, spinless_chain)
@@ -235,15 +234,14 @@ def test_pruned_ground_search_matches_the_exhaustive_search(chain):
     cfg = validate_config({"model": {"type": "chain", "n_sites": n, "hopping": hopping.tolist(),
                                      "potential": potential},
                            "quantity": "entanglement"})
-    spec, params = _configured_model(cfg)
-    ref_ground, ref_eig, ref_e0, ref_e1, levels = _exhaustive_ground_state(
-        ChainParams(**params, interaction=v))
+    model = ChainParams(n, hopping.tolist(), potential, interaction=v)
+    ref_ground, ref_eig, ref_e0, ref_e1, levels = _exhaustive_ground_state(model)
 
     # Weyl's bound holds up to the rounding margin (at V = 0 it is the exact level)
-    bounds, margin = _sector_bounds(spec, params, v)
+    bounds, margin = _sector_bounds(model)
     assert all(b <= e[0] + margin for b, e in zip(bounds, levels))
 
-    ground, eig, e0, e1 = _ground_state(spec, params, v)
+    ground, eig, e0, e1 = _ground_state(model)
     assert popcount(ground.basis.state_array[0]) == popcount(ref_ground.basis.state_array[0])
     assert (e0, e1) == (ref_e0, ref_e1)
     with warnings.catch_warnings(record=True) as caught:
@@ -256,27 +254,32 @@ def test_pruned_ground_search_matches_the_exhaustive_search(chain):
         probs, reduced_density_spectrum(ref_eig.vectors[:, 0], ref_ground.basis, region).probs)
 
 
-def test_ground_search_solve_order(monkeypatch):
-    # n=12, V=1: N = 6, 5 and 4 hold the two lowest levels or cannot be ruled out;
-    # every other sector's bound clears them, and N = 5 is rebuilt with vectors
+# n=12: the sectors solved without vectors hold the two lowest levels or cannot be
+# ruled out; every other sector's bound clears them.  The ground sector is then
+# rebuilt with vectors: N = 5 at V = 1, the full chain under attraction (V = -1),
+# and the half-filled N = 6 at V = 0, where N = 7 and 5 tie for the next level
+@pytest.mark.parametrize("v, order", [
+    (1.0, [(6, False), (5, False), (4, False), (5, True)]),
+    (-1.0, [(12, False), (11, False), (10, False), (9, False), (12, True)]),
+    (0.0, [(6, False), (7, False), (5, False), (6, True)]),
+])
+def test_ground_search_solve_order(monkeypatch, v, order):
     calls = []
     solve = intdist.cli._solve_sector
 
-    def recording(spec, params, v, n, keep_vectors=False):
+    def recording(model, n, keep_vectors=False):
         calls.append((n, keep_vectors))
-        return solve(spec, params, v, n, keep_vectors)
+        return solve(model, n, keep_vectors)
 
     monkeypatch.setattr(intdist.cli, "_solve_sector", recording)
-    _spectrum_at(_chain_cfg(12, 1.0, "entanglement"), 1.0)
-    assert calls == [(6, False), (5, False), (4, False), (5, True)]
+    _spectrum_at(_chain_cfg(12, v, "entanglement"), v)
+    assert calls == order
 
 
 @pytest.mark.parametrize("v", [-3.0, 0.0, 2.0, 1e6])
 def test_dimer_sector_bound_holds(v):
     # the dimer's one block, S_z = 0, holds some of the N = 2 levels, so the N = 2 bound holds
-    spec, params = _configured_model(validate_config({"model": {"type": "dimer"},
-                                                      "quantity": "entanglement"}))
-    bounds, margin = _sector_bounds(spec, params, v)
+    bounds, margin = _sector_bounds(DimerParams(v=v))
     lowest = exact_diagonalize(hubbard_dimer(DimerParams(v=v))[0], keep_vectors=False).energies[0]
     assert bounds.shape == (1,) and np.isfinite(bounds[0]) and bounds[0] <= lowest + margin
 

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from intdist.distance import OptimizerOptions, interaction_distance
 from intdist.fock import build_basis, build_quadratic, density_density_diagonal
 from intdist.free_fermion import FreeSpectrumParams, diagonalize_kernel, free_many_body_spectrum
-from intdist.models import (ChainParams, DimerParams, dimer_interaction_matrix, dimer_kernel,
-                            dimer_sector_basis, hubbard_dimer, spinless_chain)
+from intdist.models import (DIMER_SITE1_MODES, ChainParams, DimerParams, dimer_sector_basis,
+                            hubbard_dimer, spinless_chain)
 from intdist.spectra import exact_diagonalize, reduced_density_spectrum, thermal_probabilities
 
 SQRT2 = np.sqrt(2.0)
@@ -18,8 +20,8 @@ def hubbard_dimer_full(params: DimerParams = DimerParams()):
     The cross-check of the S_z = 0 sector that ``hubbard_dimer`` builds directly.
     """
     basis = build_basis(4)
-    v_diag = density_density_diagonal(basis, dimer_interaction_matrix(params.v))
-    return build_quadratic(basis, dimer_kernel(params), diagonal=v_diag)
+    v_diag = density_density_diagonal(basis, params.interaction_matrix())
+    return build_quadratic(basis, params.kernel(), diagonal=v_diag)
 
 
 def test_dimer_free_point_spectrum():
@@ -174,3 +176,46 @@ def test_dimer_params_store_floats():
     params = DimerParams(t=2, delta1=np.float32(0.5), delta2=np.int64(-1), v=3)
     assert [type(x) for x in (params.t, params.delta1, params.delta2, params.v)] == [float] * 4
     assert params == DimerParams(2.0, 0.5, -1.0, 3.0)
+
+
+# one non-default model of each kind
+_MODELS = [DimerParams(t=2.0, delta1=0.5, delta2=-0.25, v=1.5),
+           ChainParams(5, hopping=0.7, potential=[0.3, -0.2, 0.0, 0.5, -0.4], interaction=0.9)]
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: type(m).__name__)
+def test_model_sectors_hold_the_levels_of_the_whole_model(model):
+    whole = hubbard_dimer(model)[0] if isinstance(model, DimerParams) else spinless_chain(model)
+    levels = np.sort(np.concatenate([exact_diagonalize(model.sector(n), keep_vectors=False).energies
+                                     for n in model.particle_numbers()]))
+    np.testing.assert_array_equal(levels, exact_diagonalize(whole, keep_vectors=False).energies)
+
+
+def test_model_cuts():
+    assert DimerParams().cut() == DIMER_SITE1_MODES
+    assert ChainParams(5).cut() == (0, 1)
+    assert ChainParams(2).cut() == (0,)
+    with pytest.raises(ValueError, match="^n_sites"):
+        ChainParams(1).cut()
+
+
+def test_dimer_kernel_and_interaction_matrices():
+    model = DimerParams(t=2.0, delta1=0.5, delta2=-0.25, v=3.0)
+    np.testing.assert_array_equal(model.kernel(), [[0.5, 0.0, -2.0, 0.0],
+                                                   [0.0, 0.5, 0.0, -2.0],
+                                                   [-2.0, 0.0, -0.25, 0.0],
+                                                   [0.0, -2.0, 0.0, -0.25]])
+    np.testing.assert_array_equal(model.interaction_matrix(), [[0.0, 1.5, 0.0, 0.0],
+                                                               [1.5, 0.0, 0.0, 0.0],
+                                                               [0.0, 0.0, 0.0, 1.5],
+                                                               [0.0, 0.0, 1.5, 0.0]])
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: type(m).__name__)
+def test_the_coupling_changes_only_the_interaction_matrix(model):
+    unit, other = (dataclasses.replace(model, **{model.coupling: v}) for v in (1.0, 2.5))
+    np.testing.assert_array_equal(other.kernel(), model.kernel())
+    assert other.cut() == model.cut()
+    assert list(other.particle_numbers()) == list(model.particle_numbers())
+    np.testing.assert_array_equal(other.interaction_matrix(), 2.5 * unit.interaction_matrix())
+    assert not np.array_equal(other.interaction_matrix(), model.interaction_matrix())

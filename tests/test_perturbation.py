@@ -213,7 +213,7 @@ def test_reconstruction_identity_random_chain():
         v_diag = density_density_diagonal(basis, vmat)
         eig = exact_diagonalize(h0)
         lam = 0.05
-        eps, pattern = infer_free_labeling(eig.energies, tol=1e-7)
+        eps, pattern = infer_free_labeling(eig.energies)
         first = _first_order_energies(eig, v_diag, lam)
         decomp = perturbative_free_decomposition(first, pattern)
         rebuilt = decomp.e_vacuum + decomp.free_part() + decomp.delta_e
