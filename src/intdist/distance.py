@@ -296,16 +296,17 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
     improve on it by more than FLOOR_TOL.  A zero-mode fit has nothing to vary, so it
     takes the same exit at its first start, whatever that start scores.  The searches
     advance in lockstep on batched objective calls, each with the arithmetic of
-    SciPy's Nelder-Mead from its start.  Restart results merge by taking the minimum
-    in restart order, so the outcome is reproducible for a fixed seed.
+    SciPy's Nelder-Mead from its start.  The merge takes the best search result, the
+    first in restart order among equals, so the outcome is reproducible for a fixed
+    seed; a search never ends above its start.  A fit that would overflow or make an
+    invalid value (a tiny beta puts the pseudo-levels near the float maximum) raises
+    a ValueError that names beta instead.
     """
     probs = _as_probs(rho)
     beta = inverse_temperature(beta)
     if n_free_modes is None:
         n_free_modes = math.ceil(math.log2(probs.size))
-    n_free_modes = integer("n_free_modes", n_free_modes, 0)
-    if n_free_modes > MAX_MODES:
-        raise ValueError(f"n_free_modes={n_free_modes} exceeds the cap MAX_MODES={MAX_MODES}")
+    n_free_modes = integer("n_free_modes", n_free_modes, 0, MAX_MODES)
     if (1 << n_free_modes) < probs.size:
         raise ValueError(
             f"2^{n_free_modes} free levels cannot cover a spectrum of size {probs.size}"
@@ -314,33 +315,30 @@ def interaction_distance(rho, n_free_modes: Optional[int] = None, beta: float = 
 
     target = np.pad(probs, (0, (1 << n_free_modes) - probs.size))
     objective = _objective_factory(target, beta)
-
-    levels = _pseudo_levels(probs, beta)
-    top = levels[-1]
-    filler = top + _NEGLIGIBLE_EXPONENT / beta
-    guess = greedy_single_particle_gaps(levels, n_free_modes, filler=filler)
-    span = max(top, MIN_START_SPAN)
-
-    rng = np.random.default_rng(opts.seed)
-    starts = [guess]
-    n_perturbed = (opts.restarts - 1) // 2
-    for _ in range(n_perturbed):
-        starts.append(guess * (1.0 + 0.2 * rng.standard_normal(n_free_modes))
-                      + 0.05 * span * rng.standard_normal(n_free_modes))
-    while len(starts) < opts.restarts:
-        starts.append(rng.uniform(0.0, span, n_free_modes))
-
-    starts = np.array(starts)
-    v0 = objective(starts)
-    at_floor = np.flatnonzero((v0 <= FLOOR_TOL) | (n_free_modes == 0))
-    searched = at_floor[0] if at_floor.size else len(starts)
-    x, fun, nit, success = _lockstep_nelder_mead(objective, starts[:searched], opts.max_iter)
-    best_value, best_x, best_success = np.inf, starts[0], False
-    for i in range(searched):  # merge in restart order
-        if v0[i] < best_value:
-            best_value, best_x, best_success = v0[i], starts[i], False
-        if fun[i] < best_value:
-            best_value, best_x, best_success = fun[i], x[i], success[i]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            levels = _pseudo_levels(probs, beta)
+            top = levels[-1]
+            filler = top + _NEGLIGIBLE_EXPONENT / beta
+            guess = greedy_single_particle_gaps(levels, n_free_modes, filler=filler)
+            span = max(top, MIN_START_SPAN)
+            rng = np.random.default_rng(opts.seed)
+            n_perturbed = (opts.restarts - 1) // 2
+            noise = rng.standard_normal((n_perturbed, 2, n_free_modes))  # relative, absolute
+            starts = np.concatenate([
+                guess[None], guess * (1.0 + 0.2 * noise[:, 0]) + 0.05 * span * noise[:, 1],
+                rng.uniform(0.0, span, (opts.restarts - 1 - n_perturbed, n_free_modes))])
+            v0 = objective(starts)
+            at_floor = np.flatnonzero((v0 <= FLOOR_TOL) | (n_free_modes == 0))
+            searched = at_floor[0] if at_floor.size else len(starts)
+            x, fun, nit, success = _lockstep_nelder_mead(objective, starts[:searched],
+                                                         opts.max_iter)
+    except FloatingPointError as exc:
+        raise ValueError(f"beta={beta} takes the fit out of the float range: {exc}") from None
+    best_value, best_x, best_success = np.inf, None, False
+    if searched:
+        i = fun.argmin()  # the first of equal minima
+        best_value, best_x, best_success = fun[i], x[i], success[i]
     if searched < len(starts):  # D >= 0, so the best value so far is the global minimum
         if v0[searched] < best_value:
             best_value, best_x = v0[searched], starts[searched]

@@ -165,7 +165,6 @@ def perturbative_free_decomposition(levels, pattern) -> PerturbativeDecompositio
     e_vacuum = levels[pins[0]]
     eps = levels[pins[1:]] - e_vacuum
     residual = (levels - e_vacuum) - subset_sums(eps)[pattern]
-    residual[pins] = 0.0
     return PerturbativeDecomposition(eps, residual, pattern, float(e_vacuum))
 
 

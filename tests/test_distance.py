@@ -12,7 +12,8 @@ from intdist.distance import (FLOOR_TOL, FUSED_STEP_MAX_MODES, SIMPLEX_FATOL, SI
                               DistanceResult, OptimizerOptions, _lockstep_nelder_mead,
                               _objective_factory, df_upper_bound, interaction_distance,
                               trace_distance_sorted)
-from intdist.free_fermion import FreeSpectrumParams, free_probabilities, subset_sums
+from intdist.free_fermion import (FreeSpectrumParams, free_probabilities,
+                                  greedy_single_particle_gaps, subset_sums)
 from intdist.models import DimerParams, hubbard_dimer
 from intdist.spectra import ProbabilitySpectrum, exact_diagonalize, thermal_probabilities
 
@@ -150,6 +151,19 @@ def test_rejects_bad_beta_and_input():
         interaction_distance(np.array([np.nan, 0.5, 0.5, 0.0]), 2, 1.0)
 
 
+def test_fit_beyond_the_float_range_names_beta():
+    # pseudo-levels of ln(p_max / p) / beta near the float maximum overflow in the search
+    with pytest.raises(ValueError, match="beta"):
+        interaction_distance([0.5, 0.3, 0.2, 0.0], None, 1e-308)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [1e-307, 1e-300])
+def test_fit_at_a_tiny_beta_within_the_float_range(beta):
+    res = interaction_distance([0.5, 0.3, 0.2, 0.0], None, beta)
+    assert math.isfinite(res.value) and np.isfinite(res.optimal_epsilons).all()
+
+
 @pytest.mark.parametrize("n_free_modes", [2.0, True, np.True_, "2", -1])
 def test_rejects_bad_mode_count(n_free_modes):
     # a bool is not taken as 0 or 1 modes, nor a float as an integer
@@ -184,7 +198,7 @@ def test_shuffled_vector_gives_the_result_of_its_spectrum_bitwise(n, beta, seed)
 
 def test_rejects_mode_count_beyond_cap():
     # refused before the 2**35-entry target is allocated
-    with pytest.raises(ValueError, match="MAX_MODES=20"):
+    with pytest.raises(ValueError, match=r"n_free_modes must be in \[0, 20\], got 35"):
         interaction_distance(np.array([1.0]), 35)
 
 
@@ -477,3 +491,59 @@ def test_objective_chunks_above_the_level_budget_bitwise(monkeypatch, n):
     assert np.float64(chunked.value).tobytes() == np.float64(whole.value).tobytes()
     assert chunked.optimal_epsilons.tobytes() == whole.optimal_epsilons.tobytes()
     assert chunked.optimizer_info == whole.optimizer_info
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.floats(0.2, 5.0), st.integers(1, 8), st.sampled_from([1, 2, 40]),
+       st.integers(0, 2**32 - 1))
+def test_search_never_ends_above_its_start(n, beta, m, max_iter, seed):
+    # why the fit's merge takes search results only: each row's start is vertex 0 of its
+    # first simplex, Nelder-Mead never drops its best vertex, and fun is the value at x
+    rng = np.random.default_rng(seed)
+    target = np.sort(_random_probs(rng, 1 << n))[::-1]
+    objective = _objective_factory(target, beta)
+    starts = rng.uniform(0.0, 5.0, (m, n))
+    starts[rng.random(starts.shape) < 0.2] = 0.0
+    x, fun, _, _ = _lockstep_nelder_mead(objective, starts, max_iter)
+    for i in range(m):
+        assert fun[i] <= objective(starts[i:i + 1])[0]
+        assert fun[i].tobytes() == objective(x[i:i + 1])[0].tobytes()
+
+
+def _reference_starts(guess, span, restarts, seed):
+    """The fit's starts drawn one restart at a time: its block draws must match them bitwise."""
+    rng = np.random.default_rng(seed)
+    starts = [guess]
+    for _ in range((restarts - 1) // 2):
+        starts.append(guess * (1.0 + 0.2 * rng.standard_normal(guess.size))
+                      + 0.05 * span * rng.standard_normal(guess.size))
+    while len(starts) < restarts:
+        starts.append(rng.uniform(0.0, span, guess.size))
+    return np.array(starts)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("restarts", [1, 2, 3, 16, 17])
+def test_starts_match_the_per_restart_draws_bitwise(monkeypatch, n, restarts):
+    # a constant objective puts no start at the floor, so the search gets every start
+    monkeypatch.setattr(distance, "_objective_factory",
+                        lambda target, beta: lambda eps: np.ones(eps.shape[:-1]))
+
+    def capture(objective, x0, max_iter):
+        raise _Captured(x0)
+
+    monkeypatch.setattr(distance, "_lockstep_nelder_mead", capture)
+    beta, seed = 0.7, 100 * n + restarts
+    p = np.sort(_random_probs(np.random.default_rng(seed), 1 << n))[::-1]
+    with pytest.raises(_Captured) as caught:
+        interaction_distance(p, n, beta, OptimizerOptions(seed=seed, restarts=restarts))
+    levels = distance._pseudo_levels(p, beta)
+    filler = levels[-1] + distance._NEGLIGIBLE_EXPONENT / beta
+    guess = greedy_single_particle_gaps(levels, n, filler=filler)
+    expected = _reference_starts(guess, max(levels[-1], distance.MIN_START_SPAN), restarts, seed)
+    x0 = caught.value.args[0]
+    assert x0.shape == (restarts, n) and x0.tobytes() == expected.tobytes()
